@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from amisim.cat import CatConfig
+from amisim.cat import CatConfig, patterns_for_traces
 from amisim.data.traces import PresenceLabel
 from amisim.defense import DefenseBundle, simulate_corpus
 from amisim.errors import ConfigError
@@ -39,7 +39,6 @@ from amisim.nn import (
 
 RATES = ("per5min", "per30min")
 PATTERN_LENGTH = {"per5min": 288, "per30min": 48}
-RATE_MINUTES = {"per5min": 5, "per30min": 30}
 
 DEFAULT_ATTACKER_EPOCHS = 60
 DEFAULT_ATTACKER_BATCH = 128
@@ -312,15 +311,15 @@ class KnownDefenseReport:
 
 def threeclass_sets(bundle: DefenseBundle, traces, presence, cat: CatConfig, *key_sets):
     """Per-class pattern lists, one (present, raw absent, spoofed) triple per
-    key set, sharing a single pair of corpus simulations.
+    key set, sharing one undefended and one defended corpus schedule.
 
     Spoofing patterns are produced by running the known defense over the
     absent days, exactly as a defense-aware attacker would.
     """
     if bundle is None:
         raise ConfigError("defense params are required to build spoofing patterns")
-    raw_patterns, _ = simulate_corpus(traces, presence, cat, bundle=None)
-    defended_patterns, _ = simulate_corpus(traces, presence, cat, bundle=bundle)
+    raw_patterns, _ = patterns_for_traces(traces, cat)
+    defended_patterns, _ = simulate_corpus(traces, presence, cat, bundle)
     out = []
     for keys in key_sets:
         present, absent_raw, spoofed = [], [], []

@@ -139,17 +139,11 @@ def efficiency_table(
             raise ConfigError("efficiency_table expects 1-min traces")
     table: dict[tuple[int, float], float] = {}
     for rate in rates:
-        resampled = [resample(t, rate) for t in traces]
         for threshold in thresholds:
             config = CatConfig(threshold_percent=threshold, granularity_minutes=rate)
-            total = 0
-            sent = 0
-            for trace in resampled:
-                last = None
-                for day in trace.days():
-                    pattern, _, last = apply_cat(day, config, last)
-                    total += len(pattern.bits)
-                    sent += pattern.count()
+            patterns, _ = patterns_for_traces(traces, config)
+            total = sum(len(p.bits) for p in patterns.values())
+            sent = sum(p.count() for p in patterns.values())
             table[(rate, threshold)] = efficiency(total, sent)
     return table
 

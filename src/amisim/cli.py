@@ -335,15 +335,12 @@ def cmd_simulate(args) -> int:
     report = run_simulation(scenario)
     _write_json(args.out, report.as_dict())
     if args.error_cdf:
-        from amisim.cat import EuView
-
         working = [resample(t, cat.granularity_minutes) for t in traces]
         days = {}
         for trace in working:
             for day in trace.days():
                 days[(day.consumer_id, day.date.isoformat())] = day
-        views = {key: EuView(values=vals) for key, vals in report.eu_views.items()}
-        cdf, _ = aggregate_error_cdf(days, views)
+        cdf, _ = aggregate_error_cdf(days, report.eu_views)
         write_cdf_csv(_workdir(args.error_cdf), cdf)
     print(
         f"simulated {report.slots} slots: exact={report.all_exact} "

@@ -299,80 +299,73 @@ def simulate_corpus(
     traces: list[ConsumptionTrace],
     presence: dict,
     cat: CatConfig,
-    bundle: DefenseBundle | None = None,
+    bundle: DefenseBundle,
 ):
-    """Simulate every consumer-day; returns (patterns, eu_views) keyed by
-    (consumer_id, ISO date).
+    """The defended transmission schedule of every consumer-day; returns
+    (patterns, eu_views) keyed by (consumer_id, ISO date).
 
-    Equivalent to chaining simulate_day per consumer, but batches the
-    per-slot defense forward passes across consumers. All traces must share
-    the simulation granularity and day count. Defense memories bootstrap
-    from each consumer's first present day's pure-change pattern, then
-    track the actual decision stream.
+    Makes the same decisions as chaining simulate_day per consumer from a
+    memory seeded by _bootstrap_bits (the first present day's change-only
+    pattern), but runs all consumers slot by slot and batches each slot's
+    defense forward passes. All traces must share the simulation
+    granularity and day count. protocol.run_simulation encrypts exactly
+    these transmissions; the undefended schedule is cat.patterns_for_traces.
     """
     working = [resample(t, cat.granularity_minutes) for t in traces]
     day_lists = [t.days() for t in working]
     if len({len(days) for days in day_lists}) > 1:
         raise ConfigError("lockstep simulation requires equal day counts")
+    if not day_lists:
+        return {}, {}
+    spd = len(day_lists[0][0].readings)
+    n = bundle.n
+    readings = np.array([t.readings for t in working])  # consumers x slots, whole run
+    absent = np.array([
+        np.repeat([presence[_key(day)] is PresenceLabel.ABSENT for day in days], spd)
+        for days in day_lists
+    ])
+    bits = np.zeros(readings.shape, dtype=np.uint8)
+    held = np.empty(readings.shape)
+    # memory[i, s:s + n] is consumer i's defense window at slot s: the
+    # bootstrap bits, then every decision so far.
+    memory = np.zeros((len(day_lists), n + readings.shape[1]))
+    memory[:, :n] = [_bootstrap_bits(days, presence, cat, n) for days in day_lists]
+    lasts: list[float | None] = [None] * len(day_lists)
+    for s in range(readings.shape[1]):
+        pending = []  # consumers whose slot awaits a defense decision
+        for i, last in enumerate(lasts):
+            current = float(readings[i, s])
+            if last is None or cat_decide(current, last, cat.threshold_percent):
+                bits[i, s] = 1
+                lasts[i] = current
+            elif absent[i, s]:
+                pending.append(i)
+        if pending:
+            out, _ = forward(bundle.spec, bundle.params, memory[pending, s : s + n, None])
+            for i in np.array(pending)[np.argmax(out, axis=1) == 1]:
+                bits[i, s] = 1
+                lasts[i] = float(readings[i, s])
+        held[:, s] = lasts
+        memory[:, n + s] = bits[:, s]
 
-    states: list[DefenseState | None] = [None] * len(working)
-    if bundle is not None:
-        for i, days in enumerate(day_lists):
-            state = DefenseState(bundle.n)
-            state.seed(_bootstrap_bits(days, presence, cat, bundle.n))
-            states[i] = state
-
-    lasts: list[float | None] = [None] * len(working)
     patterns: dict = {}
     eu_views: dict = {}
-    n_days = len(day_lists[0]) if day_lists else 0
-    slots = len(day_lists[0][0].readings) if n_days else 0
-
-    for d in range(n_days):
-        day_bits = [np.zeros(slots, dtype=np.uint8) for _ in working]
-        day_vals = [np.empty(slots, dtype=np.float64) for _ in working]
-        absent_flags = [
-            presence[(days[d].consumer_id, days[d].date.isoformat())]
-            is PresenceLabel.ABSENT
-            for days in day_lists
-        ]
-        for t in range(slots):
-            pending = []  # consumers whose slot awaits a defense decision
-            for i, days in enumerate(day_lists):
-                current = float(days[d].readings[t])
-                transmit = lasts[i] is None or cat_decide(
-                    current, lasts[i], cat.threshold_percent
-                )
-                if transmit:
-                    day_bits[i][t] = 1
-                    lasts[i] = current
-                elif bundle is not None and absent_flags[i]:
-                    pending.append(i)
-                day_vals[i][t] = lasts[i]
-            if pending:
-                windows = np.stack([states[i].window() for i in pending])
-                out, _ = forward(bundle.spec, bundle.params, windows[:, :, None])
-                fire = np.argmax(out, axis=1)
-                for j, i in enumerate(pending):
-                    if fire[j]:
-                        current = float(day_lists[i][d].readings[t])
-                        day_bits[i][t] = 1
-                        lasts[i] = current
-                        day_vals[i][t] = current
-            if bundle is not None:
-                for i in range(len(working)):
-                    states[i].push(int(day_bits[i][t]))
-        for i, days in enumerate(day_lists):
-            key = (days[d].consumer_id, days[d].date.isoformat())
-            patterns[key] = TransmissionPattern(bits=day_bits[i])
-            eu_views[key] = EuView(values=day_vals[i])
+    for i, days in enumerate(day_lists):
+        for d, day in enumerate(days):
+            day_slots = slice(d * spd, (d + 1) * spd)
+            patterns[_key(day)] = TransmissionPattern(bits=bits[i, day_slots])
+            eu_views[_key(day)] = EuView(values=held[i, day_slots])
     return patterns, eu_views
+
+
+def _key(day: DayRecord):
+    return (day.consumer_id, day.date.isoformat())
 
 
 def _bootstrap_bits(days, presence, cat: CatConfig, n: int) -> np.ndarray:
     """Memory seed: the change-only pattern of the consumer's first present day."""
     for day in days:
-        if presence[(day.consumer_id, day.date.isoformat())] is PresenceLabel.PRESENT:
+        if presence[_key(day)] is PresenceLabel.PRESENT:
             pattern, _, _ = apply_cat(day, cat, None)
             bits = pattern.bits
             if len(bits) >= n:

@@ -43,36 +43,48 @@ def save_params(path, params: Params):
                     fh.write(arr.tobytes())
 
 
+def _read(fh, size: int, path) -> bytes:
+    """Exactly size bytes from fh; a short read means a truncated file."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise DataFormatError(f"{path}: truncated params file")
+    return data
+
+
+def _unpack(fh, fmt: str, path):
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt), path))
+
+
 def load_params(path, spec: ModelSpec) -> Params:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise DataFormatError(f"{path}: not a params file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = _unpack(fh, "<I", path)
         if version != FORMAT_VERSION:
             raise DataFormatError(f"{path}: unsupported format version {version}")
-        spec_hash = fh.read(32).hex()
+        spec_hash = _read(fh, 32, path).hex()
         if spec_hash != spec.hash():
             raise DataFormatError(
                 f"{path}: params were trained for a different architecture"
             )
-        (step,) = struct.unpack("<Q", fh.read(8))
+        (step,) = _unpack(fh, "<Q", path)
         groups = {}
         for group_name in ("w", "m", "v"):
-            (n_layers,) = struct.unpack("<I", fh.read(4))
+            (n_layers,) = _unpack(fh, "<I", path)
             layers = []
             for _ in range(n_layers):
-                (n_arrays,) = struct.unpack("<I", fh.read(4))
+                (n_arrays,) = _unpack(fh, "<I", path)
                 layer = {}
                 for _ in range(n_arrays):
-                    (name_len,) = struct.unpack("<I", fh.read(4))
-                    name = fh.read(name_len).decode()
+                    (name_len,) = _unpack(fh, "<I", path)
+                    name = _read(fh, name_len, path).decode()
                     prefix, key = name.split(":", 1)
                     if prefix != group_name:
                         raise DataFormatError(f"{path}: array {name} out of order")
-                    (ndim,) = struct.unpack("<I", fh.read(4))
-                    shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+                    (ndim,) = _unpack(fh, "<I", path)
+                    shape = _unpack(fh, f"<{ndim}Q", path)
                     count = int(np.prod(shape)) if ndim else 1
-                    data = np.frombuffer(fh.read(8 * count), dtype="<f8")
+                    data = np.frombuffer(_read(fh, 8 * count, path), dtype="<f8")
                     layer[key] = data.reshape(shape).copy()
                 layers.append(layer)
             groups[group_name] = layers

@@ -298,19 +298,25 @@ def forward(spec: ModelSpec, params: Params, batch):
 # Backward
 # ---------------------------------------------------------------------------
 
+def output_kind(spec: ModelSpec) -> str:
+    """The head's activation, "softmax" or "sigmoid"; any other head is refused."""
+    last = spec.layers[-1]
+    if not isinstance(last, Activation) or last.kind not in ("softmax", "sigmoid"):
+        raise ConfigError("model must end in a softmax or sigmoid activation")
+    return last.kind
+
+
 def backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0):
     """Gradient of (classification loss + l2_lambda * sum ||W||^2) w.r.t.
     every parameter, given the caches of a matching forward pass and the
     one-hot targets y. The loss is categorical cross-entropy for a softmax
     head and per-unit Bernoulli cross-entropy for a sigmoid head.
     """
-    last = spec.layers[-1]
-    if not isinstance(last, Activation) or last.kind not in ("softmax", "sigmoid"):
-        raise ConfigError("model must end in a softmax or sigmoid activation")
+    kind = output_kind(spec)
     out = caches[-1][2]
     batch = len(out)
     clamp = 1e-12
-    if last.kind == "softmax":
+    if kind == "softmax":
         dout = -(y / np.clip(out, clamp, None)) / batch
     else:
         p = np.clip(out, clamp, 1.0 - clamp)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from amisim.errors import ConfigError, TrainingError
-from amisim.nn.model import Activation, ModelSpec, Params, backward, forward, init_params
+from amisim.nn.model import ModelSpec, Params, backward, forward, init_params, output_kind
 
 LOG_CLAMP = 1e-12
 
@@ -49,17 +49,9 @@ def binary_cross_entropy(y, y_hat) -> float:
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum(axis=1).mean())
 
 
-def _output_kind(spec: ModelSpec) -> str:
-    last = spec.layers[-1]
-    if not isinstance(last, Activation) or last.kind not in ("softmax", "sigmoid"):
-        raise ConfigError("model must end in a softmax or sigmoid activation")
-    return last.kind
-
-
-def model_loss(spec, params, x, y, l2_lambda: float = 0.0):
-    """Loss (data term plus l2_lambda * sum ||W||^2) on a batch."""
-    out, _ = forward(spec, params, x)
-    kind = _output_kind(spec)
+def _loss(spec, params, out, y, l2_lambda: float) -> float:
+    """Data term on the model output plus l2_lambda * sum ||W||^2."""
+    kind = output_kind(spec)
     data = cross_entropy(y, out) if kind == "softmax" else binary_cross_entropy(y, out)
     reg = 0.0
     if l2_lambda:
@@ -72,21 +64,18 @@ def model_loss(spec, params, x, y, l2_lambda: float = 0.0):
     return data + reg
 
 
+def model_loss(spec, params, x, y, l2_lambda: float = 0.0):
+    """Loss (data term plus l2_lambda * sum ||W||^2) on a batch."""
+    out, _ = forward(spec, params, x)
+    return _loss(spec, params, out, y, l2_lambda)
+
+
 def loss_and_grads(spec, params, x, y, l2_lambda: float = 0.0):
     """Forward + backward on a batch; returns (loss, output, gradients)."""
     out, caches = forward(spec, params, x)
-    kind = _output_kind(spec)
-    data = cross_entropy(y, out) if kind == "softmax" else binary_cross_entropy(y, out)
+    loss = _loss(spec, params, out, y, l2_lambda)
     grads = backward(spec, params, caches, y, l2_lambda=l2_lambda)
-    reg = 0.0
-    if l2_lambda:
-        reg = l2_lambda * sum(
-            float((arr * arr).sum())
-            for w in params.weights
-            for key, arr in w.items()
-            if key.startswith("W")
-        )
-    return data + reg, out, grads
+    return loss, out, grads
 
 
 def adam_step(params: Params, grads, config: TrainConfig, t: int) -> Params:

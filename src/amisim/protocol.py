@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from amisim.cat import CatConfig, apply_cat, cat_decide, efficiency, patterns_for_traces
+# apply_cat and defense_decide are not called here; perfbench/spans.py traces them by these names.
+from amisim.cat import CatConfig, apply_cat, cat_decide, efficiency, patterns_for_traces  # noqa: F401
 from amisim.crypto import (
     Ciphertext,
     PaillierPrivateKey,
@@ -35,8 +36,8 @@ from amisim.crypto import (
     verify_single,
 )
 from amisim.crypto.signatures import SigKeypair, Signature
-from amisim.data.traces import ConsumptionTrace, PresenceLabel, resample, slots_per_day
-from amisim.defense import DefenseBundle, DefenseState, defense_decide
+from amisim.data.traces import ConsumptionTrace, PresenceLabel, resample
+from amisim.defense import DefenseBundle, defense_decide, simulate_corpus  # noqa: F401
 from amisim.errors import (
     ConfigError,
     ProtocolError,
@@ -97,8 +98,6 @@ class SmState:
     rng: random.Random
     last_reported: float | None = None
     last_ts_ms: int = -1
-    defense: DefenseBundle | None = None
-    memory: DefenseState | None = None
 
 
 @dataclass
@@ -107,6 +106,7 @@ class AggregatorState:
     directory: dict
     freshness_ms: int
     store: dict = field(default_factory=dict)
+    last_ts_ms: dict = field(default_factory=dict)  # sender -> newest accepted ts
     dropped_stale: int = 0
     dropped_bad_sig: int = 0
     dropped_unknown: int = 0
@@ -147,18 +147,20 @@ def sm_report(
     params: SystemParams,
     state: SmState,
     reading_kwh: float,
-    presence: PresenceLabel,
+    presence: PresenceLabel | None,
     cat: CatConfig,
     now_ms: int,
     force: bool = False,
 ) -> ReadingMsg | None:
     """Per-slot meter logic; returns a signed ciphertext or None.
 
-    A change-triggered report always goes out; on absent days an attached
-    defense may additionally fire a redundant reading. force=True is the
-    simulation bootstrap (first-ever slot must populate the aggregator).
-    Each transmission carries a fresh encryption of the actual reading, so
-    equal plaintexts still produce different bytes on the wire.
+    Without force the meter applies the CAT rule: its first-ever reading
+    and every change above the threshold go out. force=True means the
+    caller already decided to send (run_simulation replays a precomputed
+    schedule this way). presence is unused; it stays the fourth positional
+    argument for callers that pass it. Each transmission carries a fresh
+    encryption of the actual reading, so equal plaintexts still produce
+    different bytes on the wire.
     """
     if now_ms <= state.last_ts_ms:
         raise ProtocolError(f"{state.sm_id}: clock regression at {now_ms}")
@@ -168,15 +170,6 @@ def sm_report(
         or state.last_reported is None
         or cat_decide(reading_kwh, state.last_reported, cat.threshold_percent)
     )
-    if (
-        not transmit
-        and presence is PresenceLabel.ABSENT
-        and state.defense is not None
-        and state.memory is not None
-    ):
-        transmit = bool(defense_decide(state.memory, state.defense))
-    if state.memory is not None:
-        state.memory.push(1 if transmit else 0)
     if not transmit:
         return None
     state.last_reported = float(reading_kwh)
@@ -198,8 +191,9 @@ def aggregator_collect(
     """Verify this slot's messages, fold stored ciphertexts, sign the total.
 
     Stale or unverifiable messages are dropped (and counted), not fatal: the
-    meter's stored ciphertext keeps representing it. A failed batch check
-    falls back to per-message verification to isolate offenders.
+    meter's stored ciphertext keeps representing it. A message no newer than
+    its sender's last accepted one is a replay and counts as stale. A failed
+    batch check falls back to per-message verification to isolate offenders.
     """
     fresh = []
     for msg in msgs:
@@ -227,7 +221,11 @@ def aggregator_collect(
                     state.dropped_bad_sig += 1
 
     for msg in accepted:
+        if msg.ts_ms <= state.last_ts_ms.get(msg.sender_id, -1):
+            state.dropped_stale += 1
+            continue
         state.store[msg.sender_id] = Ciphertext(value=msg.ciphertext)
+        state.last_ts_ms[msg.sender_id] = msg.ts_ms
 
     missing = set(state.directory) - set(state.store)
     if missing:
@@ -293,7 +291,7 @@ class SimulationReport:
     dropped_stale: int
     dropped_bad_sig: int
     attacker_view: dict  # (sm_id, date) -> bits (presence of transmissions only)
-    eu_views: dict  # (sm_id, date) -> per-slot kWh the utility holds
+    eu_views: dict  # (sm_id, date) -> EuView, the per-slot kWh the utility holds
 
     @property
     def all_exact(self) -> bool:
@@ -321,21 +319,35 @@ class SimulationReport:
 
 
 def run_simulation(scenario: SimScenario) -> SimulationReport:
-    """Drive every meter, the aggregator, and the utility slot by slot.
+    """Replay the corpus transmission schedule through the encrypted protocol.
 
-    A plaintext shadow of each meter's last transmitted (encoded) reading
-    runs alongside the ciphertext path; the report counts the slots where
-    the decrypted aggregate equals the shadow sum exactly. The attacker
-    view contains only message-presence bits, never plaintexts, and does
-    not distinguish change-triggered from defense-triggered sends.
+    The schedule is computed once, up front: defense.simulate_corpus with a
+    defense attached, cat.patterns_for_traces without. Each slot, every
+    meter scheduled to send encrypts and signs its actual reading; the
+    aggregator and the utility then run as usual. A plaintext shadow of each
+    meter's last transmitted (encoded) reading runs alongside the ciphertext
+    path; the report counts the slots where the decrypted aggregate equals
+    the shadow sum exactly. The attacker view (message-presence bits only,
+    change- and defense-triggered sends alike) and the utility views come
+    straight from the schedule.
     """
-    working = [resample(t, scenario.cat.granularity_minutes) for t in scenario.traces]
-    day_counts = {t.day_count for t in working}
-    if len(day_counts) != 1:
+    cat = scenario.cat
+    working = [resample(t, cat.granularity_minutes) for t in scenario.traces]
+    if len({t.day_count for t in working}) != 1:
         raise ConfigError("all traces must cover the same number of days")
-    n_days = day_counts.pop()
-    spd = slots_per_day(scenario.cat.granularity_minutes)
-    slot_ms = scenario.cat.granularity_minutes * 60_000
+    plain_patterns, plain_views = patterns_for_traces(working, cat)
+    if scenario.defense is None:
+        patterns, views = plain_patterns, plain_views
+    else:
+        patterns, views = simulate_corpus(working, scenario.presence, cat, scenario.defense)
+
+    # meters x slots over the whole run: the scheduled bits, and the reading
+    # the utility holds, which in a sending slot is the reading sent.
+    keys = [[(day.consumer_id, day.date.isoformat()) for day in t.days()] for t in working]
+    bits = np.array([np.concatenate([patterns[k].bits for k in row]) for row in keys])
+    held = np.array([np.concatenate([views[k].values for k in row]) for row in keys])
+    slot_ms = cat.granularity_minutes * 60_000
+    freshness_ms = scenario.freshness_slots * slot_ms
 
     setup = SetupConfig(
         sm_count=len(working),
@@ -344,120 +356,54 @@ def run_simulation(scenario: SimScenario) -> SimulationReport:
         seed=scenario.seed,
     )
     params, eu_sk, sm_keys, agg_key = kdc_setup(setup)
-    freshness_ms = scenario.freshness_slots * slot_ms
-
     master = random.Random(scenario.seed)
-    sms = []
-    for trace, (key_id, keypair) in zip(working, sm_keys.items()):
-        state = SmState(
-            sm_id=key_id,
-            keypair=keypair,
-            rng=random.Random(master.randrange(2**63)),
-        )
-        if scenario.defense is not None:
-            state.defense = scenario.defense
-            state.memory = DefenseState(scenario.defense.n)
-            state.memory.seed(
-                _first_present_cat_bits(trace, scenario.presence, scenario.cat, scenario.defense.n)
-            )
-        sms.append((trace.days(), trace.consumer_id, state))
-
+    sms = [
+        SmState(sm_id=sm_id, keypair=keypair, rng=random.Random(master.randrange(2**63)))
+        for sm_id, keypair in sm_keys.items()
+    ]
     agg = AggregatorState(
         keypair=agg_key, directory=dict(params.sm_publics), freshness_ms=freshness_ms
     )
     eu = EuState(paillier_sk=eu_sk, agg_public=params.agg_public, freshness_ms=freshness_ms)
 
-    shadow = {state.sm_id: 0 for _, _, state in sms}
+    shadow = [0] * len(sms)
     recovered = []
     expected = []
-    exact = 0
-    transmissions = 0
-    attacker_view = {}
-    eu_view_map = {}
-    day_bits = {}
-    day_vals = {}
+    for t in range(bits.shape[1]):
+        now = SIM_EPOCH_MS + t * slot_ms
+        msgs = []
+        for m in np.flatnonzero(bits[:, t]):
+            reading = float(held[m, t])
+            msgs.append(sm_report(params, sms[m], reading, None, cat, now, force=True))
+            shadow[m] = encode_reading(reading)
+        agg_msg = aggregator_collect(params, agg, msgs, now)
+        recovered.append(eu_recover(params, eu, agg_msg, now).total_encoded)
+        expected.append(sum(shadow) % params.paillier_pk.n)
 
-    for d in range(n_days):
-        for _, _, state in sms:
-            day_bits[state.sm_id] = np.zeros(spd, dtype=np.uint8)
-            day_vals[state.sm_id] = np.empty(spd, dtype=np.float64)
-        labels = {
-            state.sm_id: scenario.presence[(cid, days[d].date.isoformat())]
-            for days, cid, state in sms
-        }
-        for t in range(spd):
-            now = SIM_EPOCH_MS + (d * spd + t) * slot_ms
-            msgs = []
-            for days, cid, state in sms:
-                reading = float(days[d].readings[t])
-                msg = sm_report(
-                    params,
-                    state,
-                    reading,
-                    labels[state.sm_id],
-                    scenario.cat,
-                    now,
-                    force=(d == 0 and t == 0),
-                )
-                if msg is not None:
-                    msgs.append(msg)
-                    shadow[state.sm_id] = encode_reading(reading)
-                    day_bits[state.sm_id][t] = 1
-                    transmissions += 1
-                day_vals[state.sm_id][t] = (
-                    state.last_reported if state.last_reported is not None else 0.0
-                )
-            agg_msg = aggregator_collect(params, agg, msgs, now)
-            result = eu_recover(params, eu, agg_msg, now)
-            expect = sum(shadow.values()) % params.paillier_pk.n
-            recovered.append(result.total_encoded)
-            expected.append(expect)
-            if result.total_encoded == expect:
-                exact += 1
-        for days, cid, state in sms:
-            key = (cid, days[d].date.isoformat())
-            attacker_view[key] = day_bits[state.sm_id].copy()
-            eu_view_map[key] = day_vals[state.sm_id].copy()
-
-    periodic_total = len(sms) * n_days * spd
-    eff_with = efficiency(periodic_total, transmissions)
-    plain_patterns, _ = patterns_for_traces(scenario.traces, scenario.cat)
+    periodic_total = bits.size
+    sent = int(bits.sum())
     plain_sent = sum(p.count() for p in plain_patterns.values())
-    eff_without = efficiency(periodic_total, plain_sent)
-
     return SimulationReport(
         config={
             "meters": len(sms),
-            "days": n_days,
-            "granularity_minutes": scenario.cat.granularity_minutes,
-            "threshold_percent": scenario.cat.threshold_percent,
+            "days": len(keys[0]),
+            "granularity_minutes": cat.granularity_minutes,
+            "threshold_percent": cat.threshold_percent,
             "defense": scenario.defense is not None,
             "seed": scenario.seed,
             "paillier_bits": scenario.paillier_bits,
             "pairing_backend": scenario.pairing_backend,
         },
-        slots=n_days * spd,
-        exact_slots=exact,
+        slots=len(recovered),
+        exact_slots=sum(r == e for r, e in zip(recovered, expected)),
         recovered_encoded=recovered,
         expected_encoded=expected,
-        efficiency_percent=eff_with,
-        efficiency_without_defense=eff_without,
-        transmissions=transmissions,
+        efficiency_percent=efficiency(periodic_total, sent),
+        efficiency_without_defense=efficiency(periodic_total, plain_sent),
+        transmissions=sent,
         periodic_total=periodic_total,
         dropped_stale=agg.dropped_stale,
         dropped_bad_sig=agg.dropped_bad_sig,
-        attacker_view=attacker_view,
-        eu_views=eu_view_map,
+        attacker_view={key: p.bits for key, p in patterns.items()},
+        eu_views=views,
     )
-
-
-def _first_present_cat_bits(trace, presence, cat: CatConfig, n: int):
-    working = resample(trace, cat.granularity_minutes)
-    for day in working.days():
-        if presence[(day.consumer_id, day.date.isoformat())] is PresenceLabel.PRESENT:
-            pattern, _, _ = apply_cat(day, cat, None)
-            if len(pattern.bits) >= n:
-                return pattern.bits[-n:]
-            reps = int(np.ceil(n / len(pattern.bits)))
-            return np.tile(pattern.bits, reps)[-n:]
-    return np.zeros(n, dtype=np.uint8)

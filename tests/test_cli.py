@@ -135,3 +135,25 @@ def test_eval_empty_test_split_fails(corpus_files, tmp_path):
         "--rate", "per30min", "--out", str(tmp_path / "e.json"),
     ])
     assert code == 3
+
+
+def test_eval_truncated_params_exits_3(corpus_files, tmp_path):
+    traces, truth = corpus_files
+    labeled = tmp_path / "labeled.jsonl"
+    assert main([
+        "prep", "--traces", str(traces), "--rate", "per30min", "--seed", "7",
+        "--truth", str(truth), "--out", str(labeled),
+    ]) == 0
+    params = tmp_path / "att.bin"
+    assert main([
+        "train", "--dataset", str(labeled), "--target", "attacker",
+        "--rate", "per30min", "--seed", "7", "--epochs", "0",
+        "--out", str(params),
+    ]) == 0
+    blob = params.read_bytes()
+    params.write_bytes(blob[: len(blob) // 2])
+    code = main([
+        "eval", "--dataset", str(labeled), "--params", str(params),
+        "--rate", "per30min", "--out", str(tmp_path / "e.json"),
+    ])
+    assert code == 3

@@ -196,3 +196,15 @@ def test_params_load_rejects_wrong_spec(tmp_path):
     save_params(path, params)
     with pytest.raises(DataFormatError):
         load_params(path, other)
+
+
+def test_params_load_rejects_every_truncation(tmp_path):
+    spec = _mlp(4)
+    path = tmp_path / "params.bin"
+    save_params(path, init_params(spec, seed=0))
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(DataFormatError):
+            load_params(cut, spec)

@@ -171,6 +171,25 @@ def test_aggregator_drops_stale_and_unknown(system):
     assert agg.dropped_unknown == 1
 
 
+def test_aggregator_drops_in_window_replay():
+    # Replaying a meter's earlier message inside the freshness window must
+    # not roll its stored ciphertext back.
+    params, eu_sk, sm_keys, agg_key = kdc_setup(
+        SetupConfig(sm_count=1, paillier_bits=256, seed=78)
+    )
+    sms, agg, eu = _fresh_states(params, eu_sk, sm_keys, agg_key)
+    sm = sms["sm0000"]
+    first = sm_report(params, sm, 6.0, PresenceLabel.PRESENT, CAT30, 0)
+    aggregator_collect(params, agg, [first], 0)
+    fresh = sm_report(params, sm, 10.0, PresenceLabel.PRESENT, CAT30, SLOT_MS)
+    aggregator_collect(params, agg, [fresh], SLOT_MS)
+    agg_msg = aggregator_collect(params, agg, [first], 2 * SLOT_MS)
+    assert agg.dropped_stale == 1
+    total = eu_recover(params, eu, agg_msg, 2 * SLOT_MS)
+    assert total.total_encoded == encode_reading(10.0)
+    assert total.total_kwh == pytest.approx(10.0)
+
+
 def test_eu_rejects_stale_and_tampered(system):
     _, params, eu_sk, sm_keys, agg_key = system
     sms, agg, eu = _fresh_states(params, eu_sk, sm_keys, agg_key)
@@ -213,11 +232,11 @@ def test_run_simulation_exact_and_consistent():
     # attacker view carries bits only
     for bits in report.attacker_view.values():
         assert set(np.unique(bits)).issubset({0, 1})
-    # transmissions match pure CAT when no defense is attached, except the
-    # forced bootstrap slot
+    # without a defense the protocol sends exactly the CAT schedule
     patterns, _ = patterns_for_traces(traces, scenario.cat)
-    for key, bits in report.attacker_view.items():
-        assert np.array_equal(bits[1:], patterns[key].bits[1:]) or key[1] != "2016-01-01"
+    assert report.attacker_view.keys() == patterns.keys()
+    for key, pattern in patterns.items():
+        assert np.array_equal(report.attacker_view[key], pattern.bits), key
 
 
 def test_run_simulation_with_defense_stays_exact():
@@ -256,6 +275,57 @@ def test_run_simulation_with_defense_stays_exact():
     for (consumer, date_iso), bits in report.attacker_view.items():
         if truth[(consumer, date_iso)] is PresenceLabel.ABSENT:
             assert bits.sum() == len(bits)  # constant-fire defense fills the day
+
+
+def test_run_simulation_replays_defended_schedule():
+    # A random-init defense fires on some, not all, of the absent slots the
+    # change rule leaves silent; the protocol sends exactly the
+    # simulate_corpus schedule and the utility holds its views.
+    from amisim.cat import cat_decide
+    from amisim.data import resample
+    from amisim.defense import DefenseBundle, simulate_corpus
+    from amisim.nn import Activation, Dense, Flatten, ModelSpec, init_params
+
+    spec = ModelSpec(
+        input_length=6,
+        input_channels=1,
+        layers=(Flatten(), Dense(units=2), Activation("softmax")),
+        output_classes=2,
+    )
+    bundle = DefenseBundle(spec=spec, params=init_params(spec, seed=0), n=6)
+    traces, truth = synthesize(
+        SyntheticConfig(consumer_count=4, day_count=2, rng_seed=2, absence_probability=0.5)
+    )
+    scenario = SimScenario(
+        traces=traces, presence=truth, cat=CAT30, defense=bundle, seed=5, paillier_bits=256
+    )
+    report = run_simulation(scenario)
+    patterns, views = simulate_corpus(traces, truth, CAT30, bundle)
+
+    assert report.all_exact
+    assert report.attacker_view.keys() == patterns.keys()
+    assert report.eu_views.keys() == views.keys()
+    for key, pattern in patterns.items():
+        assert np.array_equal(report.attacker_view[key], pattern.bits), key
+        assert np.array_equal(report.eu_views[key].values, views[key].values), key
+    assert report.transmissions == sum(p.count() for p in patterns.values())
+
+    silent = fired = 0
+    for trace in traces:
+        last = None
+        for day in resample(trace, 30).days():
+            key = (day.consumer_id, day.date.isoformat())
+            bits = patterns[key].bits
+            for t, reading in enumerate(day.readings):
+                if last is not None and not cat_decide(float(reading), last, 10.0):
+                    if truth[key] is PresenceLabel.ABSENT:
+                        silent += 1
+                        fired += int(bits[t])
+                    else:
+                        assert bits[t] == 0, key
+                if bits[t]:
+                    last = float(reading)
+    assert 0 < fired < silent
 
 
 def test_run_simulation_deterministic():
