@@ -2,16 +2,18 @@
 
 A signer with secret x publishes Y = x*P (P the public-key-side generator)
 and signs a payload as sigma = x*H(payload). A batch of w signatures
-verifies in one shot via
+verifies in one shot via the small-exponents test
 
-    e(sum sigma_i, P) == prod e(H(payload_i), Y_i)
+    e(sum r_i sigma_i, P) == prod e(r_i H(payload_i), Y_i)
 
-which both backends evaluate as a single pairing product against one
-target-group identity check, so a batch costs one final exponentiation.
+with short exponents r_i derived from the batch. Both backends evaluate it
+as a single pairing product against one target-group identity check, so a
+batch costs one final exponentiation.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from amisim.errors import CryptoError
@@ -67,16 +69,46 @@ def verify_single(signature: Signature, public, payload: bytes, suite) -> bool:
 
 
 def batch_verify(items, suite) -> bool:
-    """Verify [(signature, public, payload), ...] as one batched equation."""
+    """Verify [(signature, public, payload), ...] as one batched equation.
+
+    Small-exponents test (Bellare, Garay and Rabin, EUROCRYPT 1998): checks
+    e(sum r_i sigma_i, P) == prod e(r_i H(payload_i), Y_i), where the r_i
+    are 64-bit exponents derived by hashing the whole batch, so a run is
+    deterministic. A batch with any item that fails verify_single passes
+    only if the hash lands on one exponent in 2^64; with all r_i = 1 a
+    pair sigma_1 + d, sigma_2 - d would cancel and pass.
+    """
     items = list(items)
     if not items:
         raise CryptoError("batch_verify requires at least one item")
+    if any(signature.sigma.is_identity() for signature, _, _ in items):
+        return False
     sigma_sum = suite.g1_identity()
     pairs = []
-    for signature, public, payload in items:
-        if signature.sigma.is_identity():
-            return False
-        sigma_sum = sigma_sum + signature.sigma
-        pairs.append((-suite.hash_to_g1(payload), public))
-    check = suite.pair_product([(sigma_sum, suite.g2_generator())] + pairs)
+    for r, (signature, public, payload) in zip(_batch_exponents(items, suite), items):
+        sigma_sum = sigma_sum + r * signature.sigma
+        pairs.append((r * suite.hash_to_g1(payload), public))
+    check = suite.pair_product([(-sigma_sum, suite.g2_generator())] + pairs)
     return check.is_one()
+
+
+def _batch_exponents(items, suite) -> list[int]:
+    """1 for the first item, then one exponent in [1, 2^64] per further item.
+
+    The exponents come from a hash of every signature, public key and
+    payload in the batch. Fixing the first at 1 keeps the 2^-64 bound (an
+    error in that item alone is never cancelled) and saves two scalar
+    multiplications per batch.
+    """
+    digest = hashlib.sha256(b"batch|")
+    for signature, public, payload in items:
+        digest.update(
+            suite.g1_serialize(signature.sigma)
+            + suite.g2_serialize(public)
+            + len(payload).to_bytes(4, "big")
+            + payload
+        )
+    stream = hashlib.shake_256(digest.digest()).digest(8 * len(items))
+    return [1] + [
+        int.from_bytes(stream[8 * i : 8 * i + 8], "big") + 1 for i in range(1, len(items))
+    ]

@@ -21,7 +21,7 @@ from amisim.data.traces import (
     PresenceLabel,
     Split,
 )
-from amisim.errors import DataFormatError, DegenerateDayError
+from amisim.errors import DataFormatError, DegenerateDayError, ParseError
 
 DEFAULT_PERIODS_THRESHOLD = 0.4
 
@@ -160,26 +160,30 @@ def load_labeled_jsonl(path):
     patterns: dict = {}
     saw_bits = False
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            day = DayRecord(
-                consumer_id=obj["consumer"],
-                date=date_type.fromisoformat(obj["date"]),
-                readings=np.array(obj["readings"], dtype=np.float64),
-            )
-            records.append(
-                LabeledRecord(
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected an object, got {type(obj).__name__}")
+                day = DayRecord(
+                    consumer_id=obj["consumer"],
+                    date=date_type.fromisoformat(obj["date"]),
+                    readings=np.array(obj["readings"], dtype=np.float64),
+                )
+                record = LabeledRecord(
                     day=day,
                     label=PresenceLabel(obj["label"]),
                     split=Split(obj["split"]),
                 )
-            )
-            if "bits" in obj:
+                bits = np.array(obj["bits"], dtype=np.uint8) if "bits" in obj else None
+            except (KeyError, TypeError, ValueError, OverflowError, DataFormatError) as exc:
+                # JSONDecodeError is a ValueError; KeyError names a missing key.
+                raise ParseError(f"malformed record: {exc!r}", line=lineno) from exc
+            records.append(record)
+            if bits is not None:
                 saw_bits = True
-                patterns[(obj["consumer"], obj["date"])] = np.array(
-                    obj["bits"], dtype=np.uint8
-                )
+                patterns[(obj["consumer"], obj["date"])] = bits
     return LabeledDataset(records=tuple(records)), (patterns if saw_bits else None)

@@ -95,7 +95,7 @@ class DayRecord:
         readings = np.asarray(self.readings, dtype=np.float64)
         readings.setflags(write=False)
         object.__setattr__(self, "readings", readings)
-        if MINUTES_PER_DAY % len(readings) != 0:
+        if len(readings) == 0 or MINUTES_PER_DAY % len(readings) != 0:
             raise DataFormatError(
                 f"day record of {len(readings)} slots does not cover 24h evenly"
             )

@@ -21,6 +21,7 @@ from amisim.data.traces import ConsumptionTrace, DayRecord, PresenceLabel, resam
 from amisim.errors import ConfigError, ProtocolError
 from amisim.nn import (
     Activation,
+    BitWindowKernel,
     Conv1D,
     Dense,
     GRULayer,
@@ -306,10 +307,13 @@ def simulate_corpus(
 
     Makes the same decisions as chaining simulate_day per consumer from a
     memory seeded by _bootstrap_bits (the first present day's change-only
-    pattern), but runs all consumers slot by slot and batches each slot's
-    defense forward passes. All traces must share the simulation
-    granularity and day count. protocol.run_simulation encrypts exactly
-    these transmissions; the undefended schedule is cat.patterns_for_traces.
+    pattern), but runs all consumers slot by slot and evaluates each slot's
+    pending defense windows as one batch through a BitWindowKernel built
+    for this call; defense_decide and simulate_day keep calling forward and
+    are the reference it is tested against. All traces must share the
+    simulation granularity and day count. protocol.run_simulation encrypts
+    exactly these transmissions; the undefended schedule is
+    cat.patterns_for_traces.
     """
     working = [resample(t, cat.granularity_minutes) for t in traces]
     day_lists = [t.days() for t in working]
@@ -331,6 +335,7 @@ def simulate_corpus(
     memory = np.zeros((len(day_lists), n + readings.shape[1]))
     memory[:, :n] = [_bootstrap_bits(days, presence, cat, n) for days in day_lists]
     lasts: list[float | None] = [None] * len(day_lists)
+    predict = BitWindowKernel(bundle.spec, bundle.params)
     for s in range(readings.shape[1]):
         pending = []  # consumers whose slot awaits a defense decision
         for i, last in enumerate(lasts):
@@ -341,7 +346,7 @@ def simulate_corpus(
             elif absent[i, s]:
                 pending.append(i)
         if pending:
-            out, _ = forward(bundle.spec, bundle.params, memory[pending, s : s + n, None])
+            out = predict(memory[pending, s : s + n])
             for i in np.array(pending)[np.argmax(out, axis=1) == 1]:
                 bits[i, s] = 1
                 lasts[i] = float(readings[i, s])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from amisim.errors import ConfigError, DimensionError
+from amisim.errors import ConfigError, DataFormatError, DimensionError
 from amisim.nn.activations import (
     ACTIVATION_KINDS,
     activation_backward,
@@ -255,43 +255,143 @@ def forward(spec: ModelSpec, params: Params, batch):
             f"input shape {x.shape[1:]} does not match spec {expected}"
         )
     caches = []
-    for i, layer in enumerate(spec.layers):
-        w = params.weights[i]
-        if isinstance(layer, Dense):
-            caches.append(("dense", x))
-            x = x @ w["W"] + w["b"]
-        elif isinstance(layer, Conv1D):
-            cols = _conv_cols(x, layer.kernel_size, layer.stride)
-            b_, l_out, k, c = cols.shape
-            flat = cols.reshape(b_ * l_out, k * c)
-            out = flat @ w["W"].reshape(k * c, -1) + w["b"]
-            caches.append(("conv", x.shape, flat))
-            x = out.reshape(b_, l_out, -1)
-        elif isinstance(layer, MaxPool1D):
-            p = layer.pool_size
-            b_, l, c = x.shape
-            l_out = l // p
-            trimmed = x[:, : l_out * p, :].reshape(b_, l_out, p, c)
-            idx = np.argmax(trimmed, axis=2)
-            caches.append(("pool", x.shape, idx))
-            x = np.take_along_axis(trimmed, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        elif isinstance(layer, GRULayer):
-            b_, t_steps, _ = x.shape
-            h = np.zeros((b_, layer.units))
-            steps = []
-            for t in range(t_steps):
-                h, step_cache = _gru_step_cached(w, x[:, t, :], h)
-                steps.append(step_cache)
-            caches.append(("gru", x.shape, steps))
-            x = h
-        elif isinstance(layer, Flatten):
-            caches.append(("flatten", x.shape))
-            x = x.reshape(x.shape[0], -1)
-        elif isinstance(layer, Activation):
-            out = apply_activation(layer.kind, x)
-            caches.append(("act", x, out))
-            x = out
+    for layer, w in zip(spec.layers, params.weights):
+        x, cache = _layer_forward(layer, w, x)
+        caches.append(cache)
     return x, caches
+
+
+def _layer_forward(layer: LayerSpec, w: dict[str, np.ndarray], x):
+    """One layer of forward; returns (output, cache for backprop)."""
+    if isinstance(layer, Dense):
+        return x @ w["W"] + w["b"], ("dense", x)
+    if isinstance(layer, Conv1D):
+        cols = _conv_cols(x, layer.kernel_size, layer.stride)
+        b_, l_out, k, c = cols.shape
+        flat = cols.reshape(b_ * l_out, k * c)
+        out = flat @ w["W"].reshape(k * c, -1) + w["b"]
+        return out.reshape(b_, l_out, -1), ("conv", x.shape, flat)
+    if isinstance(layer, MaxPool1D):
+        p = layer.pool_size
+        b_, l, c = x.shape
+        l_out = l // p
+        trimmed = x[:, : l_out * p, :].reshape(b_, l_out, p, c)
+        idx = np.argmax(trimmed, axis=2)
+        out = np.take_along_axis(trimmed, idx[:, :, None, :], axis=2)[:, :, 0, :]
+        return out, ("pool", x.shape, idx)
+    if isinstance(layer, GRULayer):
+        b_, t_steps, _ = x.shape
+        h = np.zeros((b_, layer.units))
+        steps = []
+        for t in range(t_steps):
+            h, step_cache = _gru_step_cached(w, x[:, t, :], h)
+            steps.append(step_cache)
+        return h, ("gru", x.shape, steps)
+    if isinstance(layer, Flatten):
+        return x.reshape(x.shape[0], -1), ("flatten", x.shape)
+    out = apply_activation(layer.kind, x)
+    return out, ("act", x, out)
+
+
+# ---------------------------------------------------------------------------
+# Inference on binary windows
+# ---------------------------------------------------------------------------
+
+# Widest receptive field the prefix table may cover: 2**12 rows.
+TABLE_MAX_BITS = 12
+
+
+class BitWindowKernel:
+    """Inference for a single-channel network whose inputs are 0/1 windows.
+
+    The longest leading run of stride-1 Conv1D, Activation and MaxPool1D
+    layers whose receptive field w stays within TABLE_MAX_BITS maps each
+    output cell, a window of w input bits every `stride` bits, to one of
+    2**w values. Those layers run once, through the same per-layer code as
+    forward, over every w-bit pattern to fill a table; a call gathers table
+    rows by cell index. An empty prefix makes each bit its own cell (w = 1).
+
+    A GRULayer right after the prefix has its input projection and biases
+    folded into the table (Appleyard et al., 2016), so each recurrence step
+    computes only h @ [Wz_h | Wr_h] and (r * h) @ Wh_h. Every later layer
+    runs through the forward code. Outputs match forward up to float64
+    rounding; the table is built from the given params and goes stale if
+    they change.
+    """
+
+    def __init__(self, spec: ModelSpec, params: Params):
+        if spec.input_channels != 1:
+            raise ConfigError("bit-window inference needs a single input channel")
+        self.input_length = spec.input_length
+        width, stride, count = 1, 1, 0
+        for layer in spec.layers:
+            if isinstance(layer, Conv1D) and layer.stride == 1:
+                grown = width + (layer.kernel_size - 1) * stride
+            elif isinstance(layer, MaxPool1D):
+                grown = width + (layer.pool_size - 1) * stride
+            elif isinstance(layer, Activation):
+                grown = width
+            else:
+                break
+            if grown > TABLE_MAX_BITS:
+                break
+            width = grown
+            if isinstance(layer, MaxPool1D):
+                stride *= layer.pool_size
+            count += 1
+        self.width, self.stride = width, stride
+        self.cells = infer_shapes(spec)[count][1]
+        self.place = 1 << np.arange(width)[::-1]
+        patterns = (np.arange(1 << width)[:, None] >> np.arange(width)[::-1]) & 1
+        table = patterns[:, :, None].astype(np.float64)
+        for layer, w in zip(spec.layers[:count], params.weights[:count]):
+            table, _ = _layer_forward(layer, w, table)
+        table = table[:, 0, :]  # (2**width, channels)
+        self.gru = None
+        rest = count
+        if count < len(spec.layers) and isinstance(spec.layers[count], GRULayer):
+            w = params.weights[count]
+            c = table.shape[1]
+            # The gates use sigmoid(v) = 0.5 * tanh(v / 2) + 0.5, one ufunc
+            # pass instead of sigmoid's two masked branches. The halving is
+            # applied to the z and r weights and biases up front; scaling by
+            # 0.5 is exact in binary floating point.
+            half = np.concatenate([np.full(2 * w["bz"].size, 0.5), np.ones(w["bh"].size)])
+            w_in = np.concatenate([w["Wz"][:c], w["Wr"][:c], w["Wh"][:c]], axis=1)
+            table = (table @ w_in + np.concatenate([w["bz"], w["br"], w["bh"]])) * half
+            w_zr = 0.5 * np.concatenate([w["Wz"][c:], w["Wr"][c:]], axis=1)
+            self.gru = (spec.layers[count].units, w_zr, w["Wh"][c:])
+            rest += 1
+        self.table = table
+        self.tail = list(zip(spec.layers[rest:], params.weights[rest:]))
+
+    def __call__(self, windows):
+        """Network output for a (batch, input_length) array of 0/1 bits."""
+        bits = np.asarray(windows)
+        if bits.ndim != 2 or bits.shape[1] != self.input_length:
+            raise DimensionError(
+                f"windows shape {bits.shape} does not match length {self.input_length}"
+            )
+        if ((bits != 0) & (bits != 1)).any():
+            raise DataFormatError("bit-window inference takes only 0/1 inputs")
+        cells = np.lib.stride_tricks.sliding_window_view(
+            bits.astype(np.intp), self.width, axis=1
+        )[:, :: self.stride][:, : self.cells]
+        index = cells @ self.place  # (batch, cells)
+        if self.gru is None:
+            x = self.table[index]
+        else:
+            units, w_zr, w_h = self.gru
+            steps = self.table[index.T]  # (cells, batch, 3 * units)
+            x = np.zeros((len(bits), units))
+            for a in steps:
+                zr = np.tanh(a[:, : 2 * units] + x @ w_zr) * 0.5 + 0.5
+                z, r = zr[:, :units], zr[:, units:]
+                h_cand = np.tanh(a[:, 2 * units :] + (r * x) @ w_h)
+                x = (1.0 - z) * x + z * h_cand
+        for layer, w in self.tail:
+            x, _ = _layer_forward(layer, w, x)
+        return x
 
 
 # ---------------------------------------------------------------------------

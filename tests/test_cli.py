@@ -157,3 +157,34 @@ def test_eval_truncated_params_exits_3(corpus_files, tmp_path):
         "--rate", "per30min", "--out", str(tmp_path / "e.json"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing-key", "not-an-object", "no-readings"])
+def test_train_malformed_dataset_line_exits_3(corpus_files, tmp_path, capsys, damage):
+    traces, truth = corpus_files
+    labeled = tmp_path / "labeled.jsonl"
+    assert main([
+        "prep", "--traces", str(traces), "--rate", "per30min", "--seed", "7",
+        "--truth", str(truth), "--out", str(labeled),
+    ]) == 0
+    lines = labeled.read_text().splitlines()
+    if damage == "truncated":
+        lines[1] = lines[1][: len(lines[1]) // 2]
+    elif damage == "missing-key":
+        row = json.loads(lines[1])
+        del row["label"]
+        lines[1] = json.dumps(row)
+    elif damage == "no-readings":
+        row = json.loads(lines[1])
+        row["readings"] = []
+        lines[1] = json.dumps(row)
+    else:
+        lines[1] = "[1, 2, 3]"
+    labeled.write_text("\n".join(lines) + "\n")
+    code = main([
+        "train", "--dataset", str(labeled), "--target", "attacker",
+        "--rate", "per30min", "--seed", "7", "--epochs", "0",
+        "--out", str(tmp_path / "att.bin"),
+    ])
+    assert code == 3
+    assert "line 2" in capsys.readouterr().err

@@ -224,29 +224,48 @@ def test_simulate_day_memory_stays_full():
     assert len(state.window()) == bundle.n
 
 
-def test_simulate_corpus_matches_simulate_day_chain():
+def test_simulate_corpus_matches_simulate_day_chain(monkeypatch):
+    # Two bundles: Flatten -> Dense, and a random-init per30min
+    # conv -> pool -> GRU network, which takes simulate_corpus through the
+    # prefix table and the GRU recurrence of BitWindowKernel.
     config = SyntheticConfig(consumer_count=3, day_count=4, rng_seed=21,
                              absence_probability=0.5)
     traces, truth = synthesize(config)
-    bundle = _tiny_bundle(seed=3)
-    patterns, views = simulate_corpus(traces, truth, CAT5, bundle=bundle)
+    per30 = build_defense("per30min")
+    bundles = [
+        _tiny_bundle(seed=3),
+        DefenseBundle(spec=per30, params=init_params(per30, seed=0), n=per30.input_length),
+    ]
 
+    import amisim.defense
     from amisim.data import resample
     from amisim.defense import _bootstrap_bits
 
-    for trace in traces:
-        working = resample(trace, 5)
-        days = working.days()
-        state = DefenseState(bundle.n)
-        state.seed(_bootstrap_bits(days, truth, CAT5, bundle.n))
-        last = None
-        for day in days:
-            key = (day.consumer_id, day.date.isoformat())
-            pattern, view, last = simulate_day(
-                day, truth[key], CAT5, bundle, state, last
-            )
-            assert np.array_equal(pattern.bits, patterns[key].bits), key
-            assert np.allclose(view.values, views[key].values)
+    # simulate_day asks defense_decide exactly on the silent absent slots.
+    decisions = []
+
+    def recording_decide(state, bundle):
+        decisions.append(defense_decide(state, bundle))
+        return decisions[-1]
+
+    monkeypatch.setattr(amisim.defense, "defense_decide", recording_decide)
+    for bundle in bundles:
+        patterns, views = simulate_corpus(traces, truth, CAT5, bundle=bundle)
+        decisions.clear()
+        for trace in traces:
+            working = resample(trace, 5)
+            days = working.days()
+            state = DefenseState(bundle.n)
+            state.seed(_bootstrap_bits(days, truth, CAT5, bundle.n))
+            last = None
+            for day in days:
+                key = (day.consumer_id, day.date.isoformat())
+                pattern, view, last = simulate_day(
+                    day, truth[key], CAT5, bundle, state, last
+                )
+                assert np.array_equal(pattern.bits, patterns[key].bits), key
+                assert np.allclose(view.values, views[key].values)
+        assert 0 < sum(decisions) < len(decisions)
 
 
 def test_suppression_bound_holds_with_defense_active():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amisim.defense import build_defense
 from amisim.errors import DataFormatError, DimensionError
 from amisim.nn import (
     Activation,
+    BitWindowKernel,
     Conv1D,
     Dense,
     Flatten,
@@ -208,3 +212,45 @@ def test_params_load_rejects_every_truncation(tmp_path):
         cut.write_bytes(blob[:size])
         with pytest.raises(DataFormatError):
             load_params(cut, spec)
+
+
+KERNEL_SPECS = {
+    "per5min": build_defense("per5min"),
+    "per30min": build_defense("per30min"),
+    "flatten-dense": _mlp(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_bit_window_kernel_matches_forward(name, seed, data):
+    spec = KERNEL_SPECS[name]
+    params = init_params(spec, seed=seed)
+    rows = data.draw(st.integers(1, 6))
+    bits = data.draw(
+        st.lists(st.integers(0, 1), min_size=rows * spec.input_length,
+                 max_size=rows * spec.input_length)
+    )
+    windows = np.array(bits, dtype=np.float64).reshape(rows, spec.input_length)
+    ref, _ = forward(spec, params, windows[:, :, None])
+    out = BitWindowKernel(spec, params)(windows)
+    # Float64 rounding only: the table and the hoisted GRU input projection
+    # sum the same products in another order, and the gates take the tanh
+    # form of the sigmoid.
+    assert np.abs(out - ref).max() <= 1e-12
+    assert np.array_equal(out.argmax(axis=1), ref.argmax(axis=1))
+
+
+def test_bit_window_kernel_table_sizes_and_input_checks():
+    per5, per30, flat = (
+        BitWindowKernel(KERNEL_SPECS[name], init_params(KERNEL_SPECS[name], seed=0))
+        for name in ("per5min", "per30min", "flatten-dense")
+    )
+    assert (per5.width, per5.stride, per5.table.shape) == (6, 4, (64, 3 * 200))
+    assert (per30.width, per30.stride, per30.table.shape) == (8, 2, (256, 3 * 128))
+    assert (flat.width, flat.stride, flat.table.shape) == (1, 1, (2, 1))
+    with pytest.raises(DataFormatError):
+        flat(np.full((1, 6), 0.5))
+    with pytest.raises(DimensionError):
+        flat(np.zeros((1, 7)))

@@ -125,6 +125,26 @@ def test_batch_detects_each_tampered_index(suite):
         assert culprits == [bad]
 
 
+@pytest.mark.parametrize("pair", [(0, 1), (1, 3), (0, 3)])
+def test_batch_rejects_cancelling_pair(suite, pair):
+    # sigma_i + d and sigma_j - d are each invalid, but their sum equals
+    # the honest sum, so an unweighted batch check would accept them.
+    rng = random.Random(13)
+    items = []
+    for i in range(4):
+        kp = sig_keygen(suite, rng)
+        payload = canonical_payload(4_000 + i, 88_000)
+        items.append([sign(kp.x, payload, suite), kp.public, payload])
+    delta = 5 * suite.g1_generator()
+    first, second = pair
+    items[first][0] = Signature(sigma=items[first][0].sigma + delta)
+    items[second][0] = Signature(sigma=items[second][0].sigma + (-delta))
+    items = [tuple(it) for it in items]
+    singles = [verify_single(*it, suite) for it in items]
+    assert [i for i, ok in enumerate(singles) if not ok] == list(pair)
+    assert not batch_verify(items, suite)
+
+
 def test_batch_byte_mutations_flip_acceptance(suite):
     rng = random.Random(9)
     items = []
