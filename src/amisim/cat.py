@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from amisim.data.traces import ConsumptionTrace, DayRecord, VALID_GRANULARITIES, resample
+from amisim.data.traces import (
+    VALID_GRANULARITIES, ConsumptionTrace, DayRecord, PresenceLabel, resample,
+)
 from amisim.errors import ConfigError
 
 
@@ -94,23 +96,54 @@ def apply_cat(day: DayRecord, config: CatConfig, initial_last: float | None = No
     return TransmissionPattern(bits=bits), EuView(values=values), last
 
 
-def patterns_for_traces(traces: list[ConsumptionTrace], config: CatConfig):
-    """Chain apply_cat across each trace's days.
-
-    Returns (patterns, eu_views): dicts keyed by (consumer_id, ISO date).
-    Traces are resampled to the config granularity when needed.
+def schedule(traces: list[ConsumptionTrace], threshold_percent: float,
+             presence: dict | None = None, policy=None):
+    """The CAT schedule of every consumer-day: (patterns, eu_views) keyed by
+    DayRecord.key, equal to apply_cat chained day by day. Each slot of a
+    consumers x slots array (short traces padded with NaN, which never sends)
+    applies cat_decide to every consumer; with a policy, the slot's silent
+    rows on days presence labels absent then go to policy(s, rows, bits),
+    where bits is the schedule so far (columns before s are final) and a
+    true entry sends that row's current reading.
     """
-    patterns: dict = {}
-    eu_views: dict = {}
-    for trace in traces:
-        working = resample(trace, config.granularity_minutes)
-        last = None
-        for day in working.days():
-            pattern, view, last = apply_cat(day, config, last)
-            key = (day.consumer_id, day.date.isoformat())
-            patterns[key] = pattern
-            eu_views[key] = view
+    days = [(i, slice(d * len(day.readings), (d + 1) * len(day.readings)), day)
+            for i, trace in enumerate(traces) for d, day in enumerate(trace.days())]
+    width = max((len(t.readings) for t in traces), default=0)
+    readings = np.full((len(traces), width), np.nan)
+    absent = np.zeros(readings.shape, dtype=bool)
+    for i, cols, day in days:
+        readings[i, cols] = day.readings
+        if policy is not None:
+            absent[i, cols] = day.label_in(presence) is PresenceLabel.ABSENT
+    bits = np.zeros(readings.shape, dtype=np.uint8)
+    values, absent = readings.tolist(), absent.tolist()  # Python floats, as apply_cat uses
+    last: list[float | None] = [None] * len(traces)
+    for s in range(width):
+        silent = []
+        for i, row in enumerate(values):
+            if last[i] is None or cat_decide(row[s], last[i], threshold_percent):
+                bits[i, s] = 1
+                last[i] = row[s]
+            elif absent[i][s]:
+                silent.append(i)
+        if silent:
+            rows = np.array(silent)
+            for i in rows[policy(s, rows, bits)]:
+                bits[i, s] = 1
+                last[i] = values[i][s]
+    # The utility holds each consumer's reading from its latest sending slot.
+    sent_at = np.maximum.accumulate(np.where(bits, np.arange(width), 0), axis=1)
+    held = np.take_along_axis(readings, sent_at, axis=1)
+    patterns = {day.key: TransmissionPattern(bits=bits[i, cols]) for i, cols, day in days}
+    eu_views = {day.key: EuView(values=held[i, cols]) for i, cols, day in days}
     return patterns, eu_views
+
+
+def patterns_for_traces(traces: list[ConsumptionTrace], config: CatConfig):
+    """The undefended schedule of traces resampled to the config granularity;
+    returns (patterns, eu_views) keyed by (consumer_id, ISO date)."""
+    working = [resample(t, config.granularity_minutes) for t in traces]
+    return schedule(working, config.threshold_percent)
 
 
 def efficiency(periodic_count: int, transmitted_count: int) -> float:

@@ -92,11 +92,11 @@ def _read_json(path) -> dict:
 
 
 def _load_truth(path) -> dict:
-    raw = _read_json(path)
-    return {
-        tuple(key.split("|", 1)): PresenceLabel(value)
-        for key, value in raw["labels"].items()
-    }
+    try:
+        labels = _read_json(path)["labels"]
+        return {tuple(key.split("|", 1)): PresenceLabel(value) for key, value in labels.items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON, or its labels
+        raise DataFormatError(f"truth file {path}: bad or missing 'labels' ({exc})") from None
 
 
 def _synth_config(args) -> SyntheticConfig:
@@ -167,7 +167,7 @@ def cmd_prep(args) -> int:
                 records.append(
                     LabeledRecord(
                         day=day,
-                        label=truth[(day.consumer_id, day.date.isoformat())],
+                        label=day.label_in(truth),
                         split=split_for[day.date.isoformat()],
                     )
                 )
@@ -187,8 +187,7 @@ def _dataset_patterns(dataset, patterns, split):
     for rec in dataset.records:
         if rec.split is not split:
             continue
-        key = (rec.day.consumer_id, rec.day.date.isoformat())
-        xs.append(patterns[key])
+        xs.append(patterns[rec.day.key])
         ys.append(1 if rec.label is PresenceLabel.ABSENT else 0)
     return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.int64)
 
@@ -199,7 +198,7 @@ def _dataset_context(dataset):
     labels = {}
     keys = {Split.TRAIN: [], Split.TEST: []}
     for rec in dataset.records:
-        key = (rec.day.consumer_id, rec.day.date.isoformat())
+        key = rec.day.key
         labels[key] = rec.label
         keys[rec.split].append(key)
     return traces, labels, keys
@@ -222,15 +221,8 @@ def cmd_train(args) -> int:
         params, history = train_attacker(spec, x, y, config)
     elif args.target == "defense":
         spec = build_defense(args.rate)
-        labels = {
-            (r.day.consumer_id, r.day.date.isoformat()): r.label
-            for r in dataset.records
-        }
-        train_keys = {
-            (r.day.consumer_id, r.day.date.isoformat())
-            for r in dataset.records
-            if r.split is Split.TRAIN
-        }
+        labels = {r.day.key: r.label for r in dataset.records}
+        train_keys = {r.day.key for r in dataset.records if r.split is Split.TRAIN}
         runs = present_runs(
             {k: v for k, v in patterns.items() if k in train_keys}, labels
         )
@@ -339,7 +331,7 @@ def cmd_simulate(args) -> int:
         days = {}
         for trace in working:
             for day in trace.days():
-                days[(day.consumer_id, day.date.isoformat())] = day
+                days[day.key] = day
         cdf, _ = aggregate_error_cdf(days, report.eu_views)
         write_cdf_csv(_workdir(args.error_cdf), cdf)
     print(

@@ -86,7 +86,7 @@ def _label_consumer(days, cat_patterns, periods_threshold, seed):
     tx_counts = []
     features = []
     for day in days:
-        key = (day.consumer_id, day.date.isoformat())
+        key = day.key
         if key not in cat_patterns:
             raise DataFormatError(f"no transmission pattern for {key}")
         bits = np.asarray(cat_patterns[key])
@@ -149,7 +149,7 @@ def save_labeled_jsonl(path, dataset: LabeledDataset, patterns: dict | None = No
                 "split": rec.split.value,
             }
             if patterns is not None:
-                key = (rec.day.consumer_id, rec.day.date.isoformat())
+                key = rec.day.key
                 obj["bits"] = [int(b) for b in patterns[key]]
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 

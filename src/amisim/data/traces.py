@@ -104,6 +104,17 @@ class DayRecord:
     def granularity_minutes(self) -> int:
         return MINUTES_PER_DAY // len(self.readings)
 
+    @property
+    def key(self) -> tuple[str, str]:
+        """(consumer_id, ISO date): this day's key in pattern and label dicts."""
+        return (self.consumer_id, self.date.isoformat())
+
+    def label_in(self, labels: dict) -> PresenceLabel:
+        """This day's presence label in labels; a day with none is a data error."""
+        if self.key not in labels:
+            raise DataFormatError(f"no presence label for {self.key}")
+        return labels[self.key]
+
 
 @dataclass(frozen=True)
 class LabeledRecord:

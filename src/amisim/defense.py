@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from amisim.cat import CatConfig, EuView, TransmissionPattern, apply_cat, cat_decide
+from amisim.cat import CatConfig, EuView, TransmissionPattern, apply_cat, cat_decide, schedule
 from amisim.data.traces import ConsumptionTrace, DayRecord, PresenceLabel, resample
 from amisim.errors import ConfigError, ProtocolError
 from amisim.nn import (
@@ -293,7 +293,7 @@ def simulate_day(
 
 
 # ---------------------------------------------------------------------------
-# Corpus-level simulation (lockstep across consumers for speed)
+# Corpus-level simulation (the defense as a cat.schedule policy)
 # ---------------------------------------------------------------------------
 
 def simulate_corpus(
@@ -305,72 +305,30 @@ def simulate_corpus(
     """The defended transmission schedule of every consumer-day; returns
     (patterns, eu_views) keyed by (consumer_id, ISO date).
 
-    Makes the same decisions as chaining simulate_day per consumer from a
-    memory seeded by _bootstrap_bits (the first present day's change-only
-    pattern), but runs all consumers slot by slot and evaluates each slot's
-    pending defense windows as one batch through a BitWindowKernel built
-    for this call; defense_decide and simulate_day keep calling forward and
-    are the reference it is tested against. All traces must share the
-    simulation granularity and day count. protocol.run_simulation encrypts
-    exactly these transmissions; the undefended schedule is
-    cat.patterns_for_traces.
+    cat.schedule with the defense as its policy: each slot's windows go as
+    one batch through a BitWindowKernel built for this call, and every
+    memory starts from _bootstrap_bits (the first present day's change-only
+    pattern). The decisions equal simulate_day chained per consumer, the
+    reference that keeps calling forward. protocol.run_simulation encrypts
+    exactly these transmissions.
     """
     working = [resample(t, cat.granularity_minutes) for t in traces]
-    day_lists = [t.days() for t in working]
-    if len({len(days) for days in day_lists}) > 1:
-        raise ConfigError("lockstep simulation requires equal day counts")
-    if not day_lists:
-        return {}, {}
-    spd = len(day_lists[0][0].readings)
     n = bundle.n
-    readings = np.array([t.readings for t in working])  # consumers x slots, whole run
-    absent = np.array([
-        np.repeat([presence[_key(day)] is PresenceLabel.ABSENT for day in days], spd)
-        for days in day_lists
-    ])
-    bits = np.zeros(readings.shape, dtype=np.uint8)
-    held = np.empty(readings.shape)
-    # memory[i, s:s + n] is consumer i's defense window at slot s: the
-    # bootstrap bits, then every decision so far.
-    memory = np.zeros((len(day_lists), n + readings.shape[1]))
-    memory[:, :n] = [_bootstrap_bits(days, presence, cat, n) for days in day_lists]
-    lasts: list[float | None] = [None] * len(day_lists)
+    boot = np.array([_bootstrap_bits(t.days(), presence, cat, n) for t in working], np.uint8)
     predict = BitWindowKernel(bundle.spec, bundle.params)
-    for s in range(readings.shape[1]):
-        pending = []  # consumers whose slot awaits a defense decision
-        for i, last in enumerate(lasts):
-            current = float(readings[i, s])
-            if last is None or cat_decide(current, last, cat.threshold_percent):
-                bits[i, s] = 1
-                lasts[i] = current
-            elif absent[i, s]:
-                pending.append(i)
-        if pending:
-            out = predict(memory[pending, s : s + n])
-            for i in np.array(pending)[np.argmax(out, axis=1) == 1]:
-                bits[i, s] = 1
-                lasts[i] = float(readings[i, s])
-        held[:, s] = lasts
-        memory[:, n + s] = bits[:, s]
 
-    patterns: dict = {}
-    eu_views: dict = {}
-    for i, days in enumerate(day_lists):
-        for d, day in enumerate(days):
-            day_slots = slice(d * spd, (d + 1) * spd)
-            patterns[_key(day)] = TransmissionPattern(bits=bits[i, day_slots])
-            eu_views[_key(day)] = EuView(values=held[i, day_slots])
-    return patterns, eu_views
+    def spoof(s, rows, bits):
+        # The n decisions before slot s; until there are n, bootstrap bits lead.
+        windows = np.hstack([boot[rows, min(s, n) :], bits[rows, max(s - n, 0) : s]])
+        return np.argmax(predict(windows), axis=1) == 1
 
-
-def _key(day: DayRecord):
-    return (day.consumer_id, day.date.isoformat())
+    return schedule(working, cat.threshold_percent, presence, spoof)
 
 
 def _bootstrap_bits(days, presence, cat: CatConfig, n: int) -> np.ndarray:
     """Memory seed: the change-only pattern of the consumer's first present day."""
     for day in days:
-        if presence[_key(day)] is PresenceLabel.PRESENT:
+        if day.label_in(presence) is PresenceLabel.PRESENT:
             pattern, _, _ = apply_cat(day, cat, None)
             bits = pattern.bits
             if len(bits) >= n:

@@ -343,7 +343,7 @@ def run_simulation(scenario: SimScenario) -> SimulationReport:
 
     # meters x slots over the whole run: the scheduled bits, and the reading
     # the utility holds, which in a sending slot is the reading sent.
-    keys = [[(day.consumer_id, day.date.isoformat()) for day in t.days()] for t in working]
+    keys = [[day.key for day in t.days()] for t in working]
     bits = np.array([np.concatenate([patterns[k].bits for k in row]) for row in keys])
     held = np.array([np.concatenate([views[k].values for k in row]) for row in keys])
     slot_ms = cat.granularity_minutes * 60_000

@@ -76,6 +76,40 @@ def test_apply_cat_suppression_bound(values, threshold):
             assert err <= threshold / 100.0 + 1e-12
 
 
+# Readings whose steps include repeats, zeros and moves of exactly 10 %
+# (100 -> 110 -> 121, 110 -> 99, 100 -> 90), which a 10 % threshold must
+# leave silent.
+_READING = st.one_of(
+    st.sampled_from([0.0, 90.0, 99.0, 100.0, 110.0, 121.0]),
+    st.floats(min_value=0.0, max_value=200.0),
+)
+
+
+@st.composite
+def _uneven_traces(draw):
+    from amisim.data import ConsumptionTrace
+
+    traces = []
+    for c, days in enumerate(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))):
+        values = draw(st.lists(_READING, min_size=48 * days, max_size=48 * days))
+        traces.append(ConsumptionTrace(f"c{c}", date(2016, 1, 1 + c), 30, values))
+    return traces
+
+
+@settings(max_examples=60, deadline=None)
+@given(_uneven_traces(), st.sampled_from([1.0, 10.0]))
+def test_patterns_for_traces_equals_apply_cat_chain(traces, threshold):
+    config = CatConfig(threshold_percent=threshold, granularity_minutes=30)
+    patterns, views = patterns_for_traces(traces, config)
+    assert len(patterns) == sum(t.day_count for t in traces)
+    for trace in traces:
+        last = None
+        for day in trace.days():
+            pattern, view, last = apply_cat(day, config, last)
+            assert np.array_equal(patterns[day.key].bits, pattern.bits)
+            assert np.array_equal(views[day.key].values, view.values)
+
+
 def test_pattern_euview_consistency():
     rng = np.random.default_rng(1)
     day = _day(np.abs(rng.normal(1.0, 0.5, size=48)))

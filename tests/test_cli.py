@@ -188,3 +188,33 @@ def test_train_malformed_dataset_line_exits_3(corpus_files, tmp_path, capsys, da
     ])
     assert code == 3
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["prep", "simulate"])
+@pytest.mark.parametrize("damage", ["not-json", "no-labels", "unknown-label", "missing-day"])
+def test_malformed_truth_exits_3(corpus_files, tmp_path, capsys, command, damage):
+    from amisim.defense import build_defense
+    from amisim.nn import init_params, save_params
+
+    traces, truth = corpus_files
+    payload = json.loads(truth.read_text())
+    if damage == "no-labels":
+        del payload["labels"]
+    elif damage == "unknown-label":
+        payload["labels"]["sm0002|2016-01-02"] = "maybe"
+    elif damage == "missing-day":
+        del payload["labels"]["sm0001|2016-01-03"]
+    text = json.dumps(payload)
+    truth.write_text(text[: len(text) // 2] if damage == "not-json" else text)
+    if command == "prep":
+        argv = ["prep", "--truth", str(truth), "--out", str(tmp_path / "labeled.jsonl")]
+    else:  # a defended run, which reads every consumer-day's label
+        params = tmp_path / "defense.bin"
+        save_params(params, init_params(build_defense("per30min"), seed=0))
+        argv = ["simulate", "--truth", str(truth), "--defense-params", str(params),
+                "--paillier-bits", "256", "--out", str(tmp_path / "sim.json")]
+    code = main(argv + ["--traces", str(traces), "--rate", "per30min", "--seed", "7"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert {"not-json": "(char ", "no-labels": "'labels'",
+            "unknown-label": "'maybe'", "missing-day": "('sm0001', '2016-01-03')"}[damage] in err

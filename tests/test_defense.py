@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amisim.cat import CatConfig, apply_cat
-from amisim.data import DayRecord, PresenceLabel, SyntheticConfig, synthesize
+from amisim.data import ConsumptionTrace, DayRecord, PresenceLabel, SyntheticConfig, synthesize
 from amisim.defense import (
     DefenseBundle,
     DefenseState,
@@ -227,10 +227,15 @@ def test_simulate_day_memory_stays_full():
 def test_simulate_corpus_matches_simulate_day_chain(monkeypatch):
     # Two bundles: Flatten -> Dense, and a random-init per30min
     # conv -> pool -> GRU network, which takes simulate_corpus through the
-    # prefix table and the GRU recurrence of BitWindowKernel.
+    # prefix table and the GRU recurrence of BitWindowKernel. Each runs on
+    # a corpus of equal day counts and on its prefixes of 4, 1 and 2 days.
     config = SyntheticConfig(consumer_count=3, day_count=4, rng_seed=21,
                              absence_probability=0.5)
     traces, truth = synthesize(config)
+    uneven = [
+        ConsumptionTrace(t.consumer_id, t.start_date, 1, t.readings[: days * 1440])
+        for t, days in zip(traces, (4, 1, 2))
+    ]
     per30 = build_defense("per30min")
     bundles = [
         _tiny_bundle(seed=3),
@@ -250,22 +255,23 @@ def test_simulate_corpus_matches_simulate_day_chain(monkeypatch):
 
     monkeypatch.setattr(amisim.defense, "defense_decide", recording_decide)
     for bundle in bundles:
-        patterns, views = simulate_corpus(traces, truth, CAT5, bundle=bundle)
-        decisions.clear()
-        for trace in traces:
-            working = resample(trace, 5)
-            days = working.days()
-            state = DefenseState(bundle.n)
-            state.seed(_bootstrap_bits(days, truth, CAT5, bundle.n))
-            last = None
-            for day in days:
-                key = (day.consumer_id, day.date.isoformat())
-                pattern, view, last = simulate_day(
-                    day, truth[key], CAT5, bundle, state, last
-                )
-                assert np.array_equal(pattern.bits, patterns[key].bits), key
-                assert np.allclose(view.values, views[key].values)
-        assert 0 < sum(decisions) < len(decisions)
+        for corpus in (traces, uneven):
+            patterns, views = simulate_corpus(corpus, truth, CAT5, bundle=bundle)
+            assert len(patterns) == sum(t.day_count for t in corpus)
+            decisions.clear()
+            for trace in corpus:
+                working = resample(trace, 5)
+                days = working.days()
+                state = DefenseState(bundle.n)
+                state.seed(_bootstrap_bits(days, truth, CAT5, bundle.n))
+                last = None
+                for day in days:
+                    pattern, view, last = simulate_day(
+                        day, truth[day.key], CAT5, bundle, state, last
+                    )
+                    assert np.array_equal(pattern.bits, patterns[day.key].bits), day.key
+                    assert np.allclose(view.values, views[day.key].values)
+            assert 0 < sum(decisions) < len(decisions)
 
 
 def test_suppression_bound_holds_with_defense_active():
