@@ -266,21 +266,16 @@ def roc_curve(scores, labels):
     return tuple(points), auc, sr_at_fa05
 
 
-def evaluate(spec: ModelSpec, params: Params, patterns, labels) -> EvalReport:
-    """2-class evaluation; absence (label 1) is the positive class."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) == 0:
-        raise ConfigError("empty evaluation set")
-    x = np.asarray(patterns, dtype=np.float64)[:, :, None]
-    probs = predict_proba(spec, params, x)
-    predicted = np.argmax(probs, axis=1)
-    matrix = confusion_matrix(labels, predicted, classes=2)
+def _binary_report(truth, flagged, score) -> EvalReport:
+    """SR/FA/ROC report for 0/1 truth (1 = absent), 0/1 verdicts and an
+    absence score. A one-class truth gets the chance ROC and a flag."""
+    matrix = confusion_matrix(truth, flagged, classes=2)
     sr, fa, flags = sr_fa_from_confusion(matrix)
-    if len(set(labels.tolist())) > 1:
-        points, auc, sr_at_fa05 = roc_curve(probs[:, 1], labels)
+    if len(set(truth.tolist())) > 1:
+        points, auc, sr_at_fa05 = roc_curve(score, truth)
     else:
         points, auc, sr_at_fa05 = ((0.0, 0.0), (1.0, 1.0)), 0.5, 0.0
-        flags = list(flags) + ["single_class_auc_undefined"]
+        flags.append("single_class_auc_undefined")
     return EvalReport(
         sr=sr,
         fa=fa,
@@ -292,6 +287,15 @@ def evaluate(spec: ModelSpec, params: Params, patterns, labels) -> EvalReport:
     )
 
 
+def evaluate(spec: ModelSpec, params: Params, patterns, labels) -> EvalReport:
+    """2-class evaluation; absence (label 1) is the positive class."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(labels) == 0:
+        raise ConfigError("empty evaluation set")
+    probs = predict_proba(spec, params, np.asarray(patterns, dtype=np.float64)[:, :, None])
+    return _binary_report(labels, np.argmax(probs, axis=1), probs[:, 1])
+
+
 # ---------------------------------------------------------------------------
 # Defense-aware (3-class) attack
 # ---------------------------------------------------------------------------
@@ -301,12 +305,6 @@ class KnownDefenseReport:
     report: EvalReport  # binarized absent-or-spoofing accounting
     confusion3: tuple  # rows: present, absent(raw), defended-absent
     spoof_flag_rate_on_present: float
-
-    def as_dict(self) -> dict:
-        out = self.report.as_dict()
-        out["confusion3"] = [list(r) for r in self.confusion3]
-        out["spoof_flag_rate_on_present"] = self.spoof_flag_rate_on_present
-        return out
 
 
 def threeclass_sets(bundle: DefenseBundle, traces, presence, cat: CatConfig, *key_sets):
@@ -333,6 +331,17 @@ def threeclass_sets(bundle: DefenseBundle, traces, presence, cat: CatConfig, *ke
     return out
 
 
+def _three_classes(present, absent_raw, spoofed):
+    """Stacked (rows, length, 1) patterns and their AttackClass values."""
+    x = np.array(list(present) + list(absent_raw) + list(spoofed), dtype=np.float64)
+    y = np.array(
+        [AttackClass.PRESENT.value] * len(present)
+        + [AttackClass.ABSENT.value] * len(absent_raw)
+        + [AttackClass.SPOOFING.value] * len(spoofed)
+    )
+    return x[:, :, None], y
+
+
 def train_threeclass(
     rate: str,
     present,
@@ -344,16 +353,11 @@ def train_threeclass(
     _check_rate(rate)
     if not (len(present) and len(absent_raw) and len(spoofed)):
         raise ConfigError("training needs all three classes")
-    x = np.array(list(present) + list(absent_raw) + list(spoofed), dtype=np.float64)
-    y = np.array(
-        [AttackClass.PRESENT.value] * len(present)
-        + [AttackClass.ABSENT.value] * len(absent_raw)
-        + [AttackClass.SPOOFING.value] * len(spoofed)
-    )
+    x, y = _three_classes(present, absent_raw, spoofed)
     spec = build_threeclass(rate)
     if config is None:
         config = default_attacker_config()
-    params, history = train(spec, x[:, :, None], y, config)
+    params, history = train(spec, x, y, config)
     return spec, params, history
 
 
@@ -368,48 +372,21 @@ def evaluate_threeclass(
     The 3-class confusion (rows: present, raw absent, defended absent) is
     kept for diagnostics.
     """
-    te_present = list(present)
-    te_absent = list(absent_raw)
-    te_spoof = list(spoofed)
-    x_eval = np.array(te_present + te_absent + te_spoof, dtype=np.float64)
-    probs = predict_proba(spec, params, x_eval[:, :, None])
+    x, true3 = _three_classes(present, absent_raw, spoofed)
+    probs = predict_proba(spec, params, x)
     predicted = np.argmax(probs, axis=1)
-    true3 = np.array([0] * len(te_present) + [1] * len(te_absent) + [2] * len(te_spoof))
+    seen = true3 != AttackClass.ABSENT.value
+    report = _binary_report(
+        (true3[seen] == AttackClass.SPOOFING.value).astype(np.int64),
+        predicted[seen] != AttackClass.PRESENT.value,
+        probs[seen, AttackClass.ABSENT.value] + probs[seen, AttackClass.SPOOFING.value],
+    )
+    on_present = predicted[true3 == AttackClass.PRESENT.value] == AttackClass.SPOOFING.value
     confusion3 = confusion_matrix(true3, predicted, classes=3)
-
-    x_seen = np.array(te_present + te_spoof, dtype=np.float64)
-    seen_truth = np.array([0] * len(te_present) + [1] * len(te_spoof))
-    probs_seen = predict_proba(spec, params, x_seen[:, :, None])
-    positive_pred = (
-        np.argmax(probs_seen, axis=1) != AttackClass.PRESENT.value
-    ).astype(int)
-    matrix2 = confusion_matrix(seen_truth, positive_pred, classes=2)
-    sr, fa, flags = sr_fa_from_confusion(matrix2)
-    score = (
-        probs_seen[:, AttackClass.ABSENT.value]
-        + probs_seen[:, AttackClass.SPOOFING.value]
-    )
-    points, auc, sr_at_fa05 = roc_curve(score, seen_truth)
-
-    present_preds = predicted[: len(te_present)]
-    spoof_rate = (
-        float((present_preds == AttackClass.SPOOFING.value).mean())
-        if len(te_present)
-        else 0.0
-    )
-    report = EvalReport(
-        sr=sr,
-        fa=fa,
-        auc=auc,
-        roc_points=tuple(points),
-        confusion=tuple(tuple(int(v) for v in row) for row in matrix2),
-        sr_at_fa05=sr_at_fa05,
-        flags=tuple(flags),
-    )
     return KnownDefenseReport(
         report=report,
         confusion3=tuple(tuple(int(v) for v in row) for row in confusion3),
-        spoof_flag_rate_on_present=spoof_rate,
+        spoof_flag_rate_on_present=float(on_present.mean()) if len(on_present) else 0.0,
     )
 
 

@@ -88,15 +88,33 @@ def _write_json(path, payload: dict):
 
 def _read_json(path) -> dict:
     with open(_workdir(path), encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DataFormatError(f"{path}: not JSON ({exc})") from None
+
+
+def _read_field(path, *keys):
+    """The value under keys in a JSON file; a missing key is a data error."""
+    value = _read_json(path)
+    try:
+        for key in keys:
+            value = value[key]
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: no {'/'.join(keys)} ({exc!r})") from None
+    return value
 
 
 def _load_truth(path) -> dict:
+    labels = _read_field(path, "labels")
     try:
-        labels = _read_json(path)["labels"]
         return {tuple(key.split("|", 1)): PresenceLabel(value) for key, value in labels.items()}
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSON, or its labels
-        raise DataFormatError(f"truth file {path}: bad or missing 'labels' ({exc})") from None
+    except (ValueError, TypeError, AttributeError) as exc:  # not an object, or a bad label
+        raise DataFormatError(f"truth file {path}: bad 'labels' ({exc})") from None
+
+
+def _cat(args) -> CatConfig:
+    return CatConfig(threshold_percent=args.threshold, granularity_minutes=RATE_MINUTES[args.rate])
 
 
 def _synth_config(args) -> SyntheticConfig:
@@ -142,10 +160,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_prep(args) -> int:
     traces = ingest_csv(_workdir(args.traces))
-    cat = CatConfig(
-        threshold_percent=args.threshold,
-        granularity_minutes=RATE_MINUTES[args.rate],
-    )
+    cat = _cat(args)
     patterns, _ = patterns_for_traces(traces, cat)
     bits = {key: p.bits for key, p in patterns.items()}
     working = [resample(t, cat.granularity_minutes) for t in traces]
@@ -192,16 +207,17 @@ def _dataset_patterns(dataset, patterns, split):
     return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.int64)
 
 
-def _dataset_context(dataset):
-    """Rebuild (traces, labels, split keys) from a prepared dataset."""
+def _threeclass_sets(args, dataset, split):
+    """(present, raw absent, spoofed) patterns of one split, the spoofed ones
+    made by the known defense in --defense-params."""
+    if not args.defense_params:
+        raise ConfigError("the threeclass attacker needs --defense-params")
+    bundle = _bundle_from(args)
     traces = traces_from_day_records([r.day for r in dataset.records])
-    labels = {}
-    keys = {Split.TRAIN: [], Split.TEST: []}
-    for rec in dataset.records:
-        key = rec.day.key
-        labels[key] = rec.label
-        keys[rec.split].append(key)
-    return traces, labels, keys
+    labels = {r.day.key: r.label for r in dataset.records}
+    keys = [r.day.key for r in dataset.records if r.split is split]
+    (sets,) = threeclass_sets(bundle, traces, labels, _cat(args), keys)
+    return sets
 
 
 def cmd_train(args) -> int:
@@ -232,15 +248,7 @@ def cmd_train(args) -> int:
         )
         params, history = train_defense(windows, spec, config)
     else:  # threeclass: regenerate spoofing patterns with the known defense
-        if not args.defense_params:
-            raise ConfigError("threeclass training needs --defense-params")
-        bundle = _bundle_from(args)
-        traces, labels, keys = _dataset_context(dataset)
-        cat = CatConfig(
-            threshold_percent=args.threshold,
-            granularity_minutes=RATE_MINUTES[args.rate],
-        )
-        (sets,) = threeclass_sets(bundle, traces, labels, cat, keys[Split.TRAIN])
+        sets = _threeclass_sets(args, dataset, Split.TRAIN)
         _, params, history = train_threeclass(args.rate, *sets, config=config)
     save_params(_workdir(args.out), params)
     if args.history:
@@ -260,25 +268,16 @@ def cmd_eval(args) -> int:
     if patterns is None:
         raise DataFormatError("dataset lacks transmission bits; rerun prep")
     if args.patterns:
-        sim = _read_json(args.patterns)
         override = {
             tuple(key.split("|", 1)): np.array(bits, dtype=np.uint8)
-            for key, bits in sim["attacker_view"].items()
+            for key, bits in _read_field(args.patterns, "attacker_view").items()
         }
         patterns = {**patterns, **override}
     test = [r for r in dataset.records if r.split is Split.TEST]
     if not test:
         raise DataFormatError("empty test split")
     if args.variant == "threeclass":
-        if not args.defense_params:
-            raise ConfigError("threeclass evaluation needs --defense-params")
-        bundle = _bundle_from(args)
-        traces, labels, keys = _dataset_context(dataset)
-        cat = CatConfig(
-            threshold_percent=args.threshold,
-            granularity_minutes=RATE_MINUTES[args.rate],
-        )
-        (sets,) = threeclass_sets(bundle, traces, labels, cat, keys[Split.TEST])
+        sets = _threeclass_sets(args, dataset, Split.TEST)
         spec = build_threeclass(args.rate)
         params = load_params(_workdir(args.params), spec)
         report = evaluate_threeclass(spec, params, *sets).report
@@ -310,10 +309,7 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     traces = ingest_csv(_workdir(args.traces))
     truth = _load_truth(args.truth)
-    cat = CatConfig(
-        threshold_percent=args.threshold,
-        granularity_minutes=RATE_MINUTES[args.rate],
-    )
+    cat = _cat(args)
     bundle = _bundle_from(args) if args.defense_params else None
     scenario = SimScenario(
         traces=traces,
@@ -350,15 +346,11 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_report(args) -> int:
-    eval_plain = _read_json(args.eval_no_defense)
-    eval_def = _read_json(args.eval_with_defense)
-    sim_plain = _read_json(args.sim_no_defense)
-    sim_def = _read_json(args.sim_with_defense)
     table = {
-        "attacker_sr_without_defense": eval_plain["report"]["sr"],
-        "attacker_sr_with_defense": eval_def["report"]["sr"],
-        "efficiency_without_defense": sim_plain["efficiency_percent"],
-        "efficiency_with_defense": sim_def["efficiency_percent"],
+        "attacker_sr_without_defense": _read_field(args.eval_no_defense, "report", "sr"),
+        "attacker_sr_with_defense": _read_field(args.eval_with_defense, "report", "sr"),
+        "efficiency_without_defense": _read_field(args.sim_no_defense, "efficiency_percent"),
+        "efficiency_with_defense": _read_field(args.sim_with_defense, "efficiency_percent"),
     }
     payload = {
         "config": {

@@ -449,9 +449,6 @@ class Bn254Suite:
             f = fq12_mul(f, miller_loop(_twist(b.point), _cast_g1(a.point)))
         return GtElement(final_exponentiation(f))
 
-    def gt_one(self) -> GtElement:
-        return GtElement(FQ12_ONE)
-
     @staticmethod
     def _check_points(a: G1Point, b: G2Point):
         if not _on_curve(a.point, CURVE_B, _FP_OPS):

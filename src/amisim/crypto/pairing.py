@@ -106,9 +106,6 @@ class ExponentSuite:
             exponent = (exponent + a.log * b.log) % self.order
         return _GtElement(pow(self.gt_gen, exponent, self.p), self.p)
 
-    def gt_one(self):
-        return _GtElement(1, self.p)
-
     # -- wire format ---------------------------------------------------------
     def g1_serialize(self, pt: ExpG1) -> bytes:
         return pt.log.to_bytes(32, "big")

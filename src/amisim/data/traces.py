@@ -127,9 +127,6 @@ class LabeledRecord:
 class LabeledDataset:
     records: tuple[LabeledRecord, ...]
 
-    def subset(self, split: Split) -> list[LabeledRecord]:
-        return [r for r in self.records if r.split is split]
-
 
 # ---------------------------------------------------------------------------
 # CSV ingestion

@@ -90,15 +90,15 @@ def load_params(path, spec: ModelSpec) -> Params:
             groups[group_name] = layers
 
     template = init_params(spec, seed=0)
-    for got, want in ((groups["w"], template.weights),):
-        if len(got) != len(want):
+    for group_name, got in groups.items():  # Adam moments are shaped like the weights
+        if len(got) != len(template.weights):
             raise DataFormatError(f"{path}: layer count mismatch")
-        for layer_got, layer_want in zip(got, want):
+        for layer_got, layer_want in zip(got, template.weights):
             if set(layer_got) != set(layer_want):
                 raise DataFormatError(f"{path}: parameter names mismatch")
             for key in layer_want:
                 if layer_got[key].shape != layer_want[key].shape:
-                    raise DataFormatError(f"{path}: shape mismatch for {key}")
+                    raise DataFormatError(f"{path}: shape mismatch for {group_name}:{key}")
     return Params(
         spec_hash=spec_hash,
         weights=groups["w"],

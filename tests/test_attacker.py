@@ -8,6 +8,7 @@ from amisim.attacker import (
     confusion_matrix,
     default_attacker_config,
     evaluate,
+    evaluate_threeclass,
     roc_curve,
     sr_fa_from_confusion,
     train_attacker,
@@ -173,6 +174,54 @@ def test_evaluate_perfect_classifier_metrics():
     assert report.fa == pytest.approx(0.0)
     assert report.auc == pytest.approx(1.0)
     assert sum(sum(row) for row in report.confusion) == len(y)
+
+
+def _one_hot_threeclass():
+    # Input i votes for class i: logits are 4, 4 and 3 times the bits, so
+    # each distinct pattern has its own absent-or-spoofing score.
+    spec = ModelSpec(
+        input_length=3,
+        input_channels=1,
+        layers=(Flatten(), Dense(units=3), Activation("softmax")),
+        output_classes=3,
+    )
+    params = init_params(spec, seed=0)
+    params.weights[1]["W"][:] = np.diag([4.0, 4.0, 3.0])
+    params.weights[1]["b"][:] = 0.0
+    return spec, params
+
+
+A, B, C, D = [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1]  # predicted 0, 1, 2, 0
+
+
+def test_evaluate_threeclass_hand_computed():
+    spec, params = _one_hot_threeclass()
+    kd = evaluate_threeclass(spec, params, [A, A, D, C], [B, A], [C, B, D])
+    assert kd.confusion3 == ((3, 0, 1), (1, 1, 0), (1, 1, 1))
+    assert kd.spoof_flag_rate_on_present == pytest.approx(1 / 4)
+    report = kd.report
+    # Binarized over present and defended-absent days only; raw absent days
+    # are not scored. TP=2, FP=1, TN=3, FN=1.
+    assert report.confusion == ((3, 1), (1, 2))
+    assert report.sr == pytest.approx(2 / 3)
+    assert report.fa == pytest.approx(1 / 4)
+    assert report.flags == ()
+    # Scores p(absent) + p(spoofing), high to low: B (spoofed), C (one of
+    # each), D (one of each), A (two present).
+    assert report.roc_points == (
+        (0.0, 0.0), (0.0, 1 / 3), (0.25, 2 / 3), (0.5, 1.0), (1.0, 1.0)
+    )
+    assert report.auc == pytest.approx(5 / 6)
+    assert report.sr_at_fa05 == pytest.approx(1.0)
+
+
+def test_evaluate_threeclass_without_spoofed_days_is_flagged():
+    spec, params = _one_hot_threeclass()
+    report = evaluate_threeclass(spec, params, [A, C], [B], []).report
+    assert report.confusion == ((1, 1), (0, 0))
+    assert report.sr == 0.0 and report.fa == pytest.approx(1.0)
+    assert report.flags == ("single_class_auc_undefined",)
+    assert report.roc_points == ((0.0, 0.0), (1.0, 1.0)) and report.auc == 0.5
 
 
 def test_train_attacker_imbalance_warning():

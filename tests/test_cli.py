@@ -218,3 +218,65 @@ def test_malformed_truth_exits_3(corpus_files, tmp_path, capsys, command, damage
     err = capsys.readouterr().err
     assert {"not-json": "(char ", "no-labels": "'labels'",
             "unknown-label": "'maybe'", "missing-day": "('sm0001', '2016-01-03')"}[damage] in err
+
+
+@pytest.mark.parametrize("command", ["report", "eval-patterns"])
+@pytest.mark.parametrize("damage", ["not-json", "missing-key"])
+def test_malformed_json_input_exits_3(request, tmp_path, capsys, command, damage):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"attacker_view": ' if damage == "not-json" else "{}")
+    if command == "report":
+        good_eval = tmp_path / "eval.json"
+        good_eval.write_text(json.dumps({"report": {"sr": 0.5}}))
+        good_sim = tmp_path / "sim.json"
+        good_sim.write_text(json.dumps({"efficiency_percent": 40.0}))
+        argv = ["report", "--eval-no-defense", str(good_eval), "--eval-with-defense", str(bad),
+                "--sim-no-defense", str(good_sim), "--sim-with-defense", str(good_sim)]
+    else:
+        traces, truth = request.getfixturevalue("corpus_files")
+        labeled = tmp_path / "labeled.jsonl"
+        params = tmp_path / "att.bin"
+        assert main([
+            "prep", "--traces", str(traces), "--rate", "per30min", "--seed", "7",
+            "--truth", str(truth), "--out", str(labeled),
+        ]) == 0
+        assert main([
+            "train", "--dataset", str(labeled), "--target", "attacker",
+            "--rate", "per30min", "--seed", "7", "--epochs", "0", "--out", str(params),
+        ]) == 0
+        argv = ["eval", "--dataset", str(labeled), "--params", str(params),
+                "--rate", "per30min", "--patterns", str(bad)]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 3
+    err = capsys.readouterr().err
+    assert "bad.json" in err
+    assert {"not-json": "not JSON", "missing-key": "KeyError"}[damage] in err
+
+
+def test_known_defense_and_simulated_view_pipeline(corpus_files, tmp_path):
+    traces, truth = corpus_files
+    labeled = tmp_path / "labeled.jsonl"
+    rate = ["--rate", "per30min", "--seed", "7"]
+    train = ["train", "--dataset", str(labeled), "--epochs", "1"] + rate
+    files = {name: str(tmp_path / name) for name in (
+        "att.bin", "defense.bin", "threeclass.bin", "eval3.json", "sim.json", "evalp.json")}
+    for argv in (
+        ["prep", "--traces", str(traces), "--truth", str(truth), "--out", str(labeled)] + rate,
+        train + ["--target", "attacker", "--out", files["att.bin"]],
+        train + ["--target", "defense", "--out", files["defense.bin"]],
+        train + ["--target", "threeclass", "--defense-params", files["defense.bin"],
+                 "--out", files["threeclass.bin"]],
+        ["eval", "--dataset", str(labeled), "--params", files["threeclass.bin"],
+         "--rate", "per30min", "--variant", "threeclass",
+         "--defense-params", files["defense.bin"], "--out", files["eval3.json"]],
+        ["simulate", "--traces", str(traces), "--truth", str(truth), "--paillier-bits", "256",
+         "--defense-params", files["defense.bin"], "--out", files["sim.json"]] + rate,
+        ["eval", "--dataset", str(labeled), "--params", files["att.bin"], "--rate", "per30min",
+         "--patterns", files["sim.json"], "--out", files["evalp.json"]],
+    ):
+        assert main(argv) == 0, argv
+    rows = [json.loads(line) for line in labeled.read_text().splitlines()]
+    test_days = sum(row["split"] == "test" for row in rows)
+    assert test_days
+    for name in ("eval3.json", "evalp.json"):
+        confusion = json.loads((tmp_path / name).read_text())["report"]["confusion"]
+        assert sum(map(sum, confusion)) == test_days, name

@@ -214,6 +214,19 @@ def test_params_load_rejects_every_truncation(tmp_path):
             load_params(cut, spec)
 
 
+@pytest.mark.parametrize("group", ["weights", "adam_m", "adam_v"])
+def test_params_load_rejects_misshapen_array_in_every_group(tmp_path, group):
+    # A moment array of the wrong shape would load and then break the next
+    # Adam step with a numpy broadcast error.
+    spec = _mlp(4)
+    params = init_params(spec, seed=0)
+    next(layer for layer in getattr(params, group) if "W" in layer)["W"] = np.zeros(1)
+    path = tmp_path / "params.bin"
+    save_params(path, params)
+    with pytest.raises(DataFormatError, match="shape mismatch"):
+        load_params(path, spec)
+
+
 KERNEL_SPECS = {
     "per5min": build_defense("per5min"),
     "per30min": build_defense("per30min"),
