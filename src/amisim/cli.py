@@ -6,7 +6,8 @@ Commands compose into the full study pipeline:
 
 Every JSON artifact embeds the resolved configuration and package version;
 identical inputs and seeds reproduce outputs byte for byte. Exit codes:
-0 success, 2 configuration error, 3 data error.
+0 success, 1 when simulate decrypts a slot total that is not exact,
+2 configuration error, 3 data error.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from amisim.data import (
     save_labeled_jsonl,
     synthesize,
     traces_from_day_records,
+    transmission_bits,
     write_traces_csv,
 )
 from amisim.defense import (
@@ -263,16 +265,31 @@ def _bundle_from(args) -> DefenseBundle:
     return DefenseBundle(spec=spec, params=params, n=window_size(args.rate))
 
 
+def _attacker_view(path, dataset) -> dict:
+    """The patterns of a simulate output's attacker_view for the dataset's
+    days, each checked against that day's slot count. Entries for other days
+    are never read, so they are dropped."""
+    view = _read_field(path, "attacker_view")
+    if not isinstance(view, dict):
+        raise DataFormatError(f"{path}: attacker_view is not an object")
+    slots = {"|".join(rec.day.key): rec.day.readings.size for rec in dataset.records}
+    patterns = {}
+    for key, bits in view.items():
+        if key not in slots:
+            continue
+        try:
+            patterns[tuple(key.split("|", 1))] = transmission_bits(bits, slots[key])
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: attacker_view[{key!r}]: {exc}") from None
+    return patterns
+
+
 def cmd_eval(args) -> int:
     dataset, patterns = load_labeled_jsonl(_workdir(args.dataset))
     if patterns is None:
         raise DataFormatError("dataset lacks transmission bits; rerun prep")
     if args.patterns:
-        override = {
-            tuple(key.split("|", 1)): np.array(bits, dtype=np.uint8)
-            for key, bits in _read_field(args.patterns, "attacker_view").items()
-        }
-        patterns = {**patterns, **override}
+        patterns = {**patterns, **_attacker_view(args.patterns, dataset)}
     test = [r for r in dataset.records if r.split is Split.TEST]
     if not test:
         raise DataFormatError("empty test split")

@@ -154,6 +154,14 @@ def save_labeled_jsonl(path, dataset: LabeledDataset, patterns: dict | None = No
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def transmission_bits(value, slots: int):
+    """A day's transmission pattern as uint8; DataFormatError unless value is
+    a list of `slots` entries, each 0 or 1."""
+    if not isinstance(value, list) or len(value) != slots or any(b not in (0, 1) for b in value):
+        raise DataFormatError(f"transmission bits are not a list of {slots} 0/1 entries")
+    return np.array(value, dtype=np.uint8)
+
+
 def load_labeled_jsonl(path):
     """Read a labeled dataset; returns (dataset, patterns-or-None)."""
     records = []
@@ -178,7 +186,7 @@ def load_labeled_jsonl(path):
                     label=PresenceLabel(obj["label"]),
                     split=Split(obj["split"]),
                 )
-                bits = np.array(obj["bits"], dtype=np.uint8) if "bits" in obj else None
+                bits = transmission_bits(obj["bits"], day.readings.size) if "bits" in obj else None
             except (KeyError, TypeError, ValueError, OverflowError, DataFormatError) as exc:
                 # JSONDecodeError is a ValueError; KeyError names a missing key.
                 raise ParseError(f"malformed record: {exc!r}", line=lineno) from exc

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-ACTIVATION_KINDS = ("relu", "elu", "sigmoid", "tanh", "softmax", "linear")
+ACTIVATION_KINDS = ("relu", "elu", "sigmoid", "tanh", "softmax")
 
 
 def relu(x):
@@ -52,8 +52,6 @@ def apply_activation(kind: str, x):
         return tanh(x)
     if kind == "softmax":
         return softmax(x)
-    if kind == "linear":
-        return x
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -71,6 +69,4 @@ def activation_backward(kind: str, out, x, dout):
     if kind == "softmax":
         inner = (dout * out).sum(axis=-1, keepdims=True)
         return out * (dout - inner)
-    if kind == "linear":
-        return dout
     raise ValueError(f"unknown activation {kind!r}")

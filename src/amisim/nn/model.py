@@ -411,28 +411,20 @@ def backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0)
     every parameter, given the caches of a matching forward pass and the
     one-hot targets y. The loss is categorical cross-entropy for a softmax
     head and per-unit Bernoulli cross-entropy for a sigmoid head.
+
+    Returns per-layer gradient dicts shaped like params.weights; biases are
+    not regularized.
     """
     kind = output_kind(spec)
     out = caches[-1][2]
     batch = len(out)
     clamp = 1e-12
     if kind == "softmax":
-        dout = -(y / np.clip(out, clamp, None)) / batch
+        dx = -(y / np.clip(out, clamp, None)) / batch
     else:
         p = np.clip(out, clamp, 1.0 - clamp)
-        dout = (-(y / p) + (1.0 - y) / (1.0 - p)) / batch
-    return backprop(spec, params, caches, dout, l2_lambda=l2_lambda)
-
-
-def backprop(spec: ModelSpec, params: Params, caches, dout, l2_lambda: float = 0.0):
-    """Backpropagate an arbitrary dout (gradient w.r.t. the network output).
-
-    Returns per-layer gradient dicts shaped like params.weights. When
-    l2_lambda is nonzero, 2*lambda*W is added for every weight matrix
-    (biases are not regularized), matching a loss term lambda * sum ||W||^2.
-    """
+        dx = (-(y / p) + (1.0 - y) / (1.0 - p)) / batch
     grads = params.zero_like_weights()
-    dx = dout
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         w = params.weights[i]

@@ -159,7 +159,8 @@ def test_eval_truncated_params_exits_3(corpus_files, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing-key", "not-an-object", "no-readings"])
+@pytest.mark.parametrize("damage", ["truncated", "missing-key", "not-an-object", "no-readings",
+                                    "short-bits", "non-binary-bits"])
 def test_train_malformed_dataset_line_exits_3(corpus_files, tmp_path, capsys, damage):
     traces, truth = corpus_files
     labeled = tmp_path / "labeled.jsonl"
@@ -177,6 +178,14 @@ def test_train_malformed_dataset_line_exits_3(corpus_files, tmp_path, capsys, da
     elif damage == "no-readings":
         row = json.loads(lines[1])
         row["readings"] = []
+        lines[1] = json.dumps(row)
+    elif damage == "short-bits":
+        row = json.loads(lines[1])
+        row["bits"] = row["bits"][:2]
+        lines[1] = json.dumps(row)
+    elif damage == "non-binary-bits":
+        row = json.loads(lines[1])
+        row["bits"][0] = 2
         lines[1] = json.dumps(row)
     else:
         lines[1] = "[1, 2, 3]"
@@ -220,11 +229,15 @@ def test_malformed_truth_exits_3(corpus_files, tmp_path, capsys, command, damage
             "unknown-label": "'maybe'", "missing-day": "('sm0001', '2016-01-03')"}[damage] in err
 
 
-@pytest.mark.parametrize("command", ["report", "eval-patterns"])
-@pytest.mark.parametrize("damage", ["not-json", "missing-key"])
+@pytest.mark.parametrize("damage,command", [
+    ("not-json", "report"), ("missing-key", "report"),
+    ("not-json", "eval-patterns"), ("missing-key", "eval-patterns"),
+    ("view-not-object", "eval-patterns"), ("view-short-bits", "eval-patterns"),
+])
 def test_malformed_json_input_exits_3(request, tmp_path, capsys, command, damage):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"attacker_view": ' if damage == "not-json" else "{}")
+    bad.write_text({"not-json": '{"attacker_view": ', "view-not-object": '{"attacker_view": [1, 2]}'}
+                   .get(damage, "{}"))
     if command == "report":
         good_eval = tmp_path / "eval.json"
         good_eval.write_text(json.dumps({"report": {"sr": 0.5}}))
@@ -246,10 +259,15 @@ def test_malformed_json_input_exits_3(request, tmp_path, capsys, command, damage
         ]) == 0
         argv = ["eval", "--dataset", str(labeled), "--params", str(params),
                 "--rate", "per30min", "--patterns", str(bad)]
+        if damage == "view-short-bits":  # 2 bits for a test-split day of 48 slots
+            rows = [json.loads(line) for line in labeled.read_text().splitlines()]
+            row = next(r for r in rows if r["split"] == "test")
+            bad.write_text(json.dumps({"attacker_view": {f"{row['consumer']}|{row['date']}": [0, 1]}}))
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 3
     err = capsys.readouterr().err
     assert "bad.json" in err
-    assert {"not-json": "not JSON", "missing-key": "KeyError"}[damage] in err
+    assert {"not-json": "not JSON", "missing-key": "KeyError", "view-not-object": "not an object",
+            "view-short-bits": "48 0/1 entries"}[damage] in err
 
 
 def test_known_defense_and_simulated_view_pipeline(corpus_files, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -76,6 +77,26 @@ def test_bn254_pair_product_matches_single(bn_suite):
     # e(P, Q) * e(-P, Q) == 1
     check = suite.pair_product([(p1, p2), (-p1, p2)])
     assert check.is_one()
+
+
+def test_bn254_known_answers(bn_suite):
+    """Pin pairing values after final exponentiation: bilinearity alone
+    would pass a pairing whose value had changed."""
+
+    def digest(gt):
+        return hashlib.sha256(b"".join(c.to_bytes(32, "big") for c in gt.value)).hexdigest()
+
+    suite = bn_suite
+    g1, g2 = suite.g1_generator(), suite.g2_generator()
+    e = suite.pair(g1, g2)
+    assert digest(e) == "5311faff1dd5b1ffb25301832ff952f5eca7de688000b864642bb986f3957278"
+    assert (
+        digest(suite.pair(5 * g1, 7 * g2))
+        == "286cee9f30f07125169664295126402051f3f5e0fb8e2a9f65010b2bb4ea0321"
+    )
+    for k in (1, 35, suite.order - 2):
+        assert e**-k == e ** (suite.order - k)
+        assert ((e**-k) * (e**k)).is_one()
 
 
 def test_bn254_hash_to_g1_on_curve(bn_suite):
