@@ -19,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from amisim.cat import CatConfig, patterns_for_traces
-from amisim.data.traces import PresenceLabel
+from amisim.cat import CatConfig, patterns_for_traces, rate_minutes
+from amisim.data.traces import PresenceLabel, slots_per_day
 from amisim.defense import DefenseBundle, simulate_corpus
 from amisim.errors import ConfigError
 from amisim.nn import (
@@ -37,9 +37,6 @@ from amisim.nn import (
     train,
 )
 
-RATES = ("per5min", "per30min")
-PATTERN_LENGTH = {"per5min": 288, "per30min": 48}
-
 DEFAULT_ATTACKER_EPOCHS = 60
 DEFAULT_ATTACKER_BATCH = 128
 DEFAULT_ATTACKER_LR = 0.001
@@ -51,14 +48,9 @@ class AttackClass(Enum):
     SPOOFING = 2
 
 
-def _check_rate(rate: str):
-    if rate not in RATES:
-        raise ConfigError(f"rate must be one of {RATES}, got {rate!r}")
-
-
 def build_attacker(rate: str) -> ModelSpec:
     """2-class CNN over one day of transmission bits."""
-    _check_rate(rate)
+    length = slots_per_day(rate_minutes(rate))
     if rate == "per5min":
         layers = (
             Conv1D(filters=150, kernel_size=3),
@@ -104,7 +96,7 @@ def build_attacker(rate: str) -> ModelSpec:
             Activation("sigmoid"),
         )
     return ModelSpec(
-        input_length=PATTERN_LENGTH[rate],
+        input_length=length,
         input_channels=1,
         layers=layers,
         output_classes=2,
@@ -113,7 +105,7 @@ def build_attacker(rate: str) -> ModelSpec:
 
 def build_threeclass(rate: str) -> ModelSpec:
     """3-class (present/absent/spoofing) model for a defense-aware attacker."""
-    _check_rate(rate)
+    length = slots_per_day(rate_minutes(rate))
     if rate == "per5min":
         layers = (
             Conv1D(filters=150, kernel_size=3),
@@ -141,7 +133,7 @@ def build_threeclass(rate: str) -> ModelSpec:
             Activation("softmax"),
         )
     return ModelSpec(
-        input_length=PATTERN_LENGTH[rate],
+        input_length=length,
         input_channels=1,
         layers=layers,
         output_classes=3,
@@ -157,10 +149,8 @@ def default_attacker_config(seed: int = 0, epochs: int = DEFAULT_ATTACKER_EPOCHS
     )
 
 
-def train_attacker(spec: ModelSpec, patterns, labels, config: TrainConfig | None = None):
+def train_attacker(spec: ModelSpec, patterns, labels, config: TrainConfig):
     """Train on (patterns, 0/1 labels); warns past a 95/5 class imbalance."""
-    if config is None:
-        config = default_attacker_config()
     labels = np.asarray(labels)
     share = labels.mean() if len(labels) else 0.0
     if len(labels) and (share > 0.95 or share < 0.05):
@@ -347,16 +337,13 @@ def train_threeclass(
     present,
     absent_raw,
     spoofed,
-    config: TrainConfig | None = None,
+    config: TrainConfig,
 ):
     """Train the 3-class model on {present, absent, spoofing} pattern lists."""
-    _check_rate(rate)
+    spec = build_threeclass(rate)
     if not (len(present) and len(absent_raw) and len(spoofed)):
         raise ConfigError("training needs all three classes")
     x, y = _three_classes(present, absent_raw, spoofed)
-    spec = build_threeclass(rate)
-    if config is None:
-        config = default_attacker_config()
     params, history = train(spec, x, y, config)
     return spec, params, history
 
@@ -398,7 +385,7 @@ def known_defense_attack(
     rate: str,
     train_keys,
     test_keys,
-    config: TrainConfig | None = None,
+    config: TrainConfig,
 ) -> KnownDefenseReport:
     """Train and evaluate the defense-aware 3-class attacker.
 
@@ -407,7 +394,6 @@ def known_defense_attack(
     time flags a day as unoccupied when it predicts absent OR spoofing.
     train_keys/test_keys are (consumer_id, ISO date) partitions of the corpus.
     """
-    _check_rate(rate)
     tr, te = threeclass_sets(bundle, traces, presence, cat, train_keys, test_keys)
     spec, params, _ = train_threeclass(rate, *tr, config=config)
     return evaluate_threeclass(spec, params, *te)

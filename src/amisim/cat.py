@@ -18,6 +18,16 @@ from amisim.data.traces import (
 )
 from amisim.errors import ConfigError
 
+# The paper's two reporting rates and their slot widths in minutes.
+RATE_MINUTES = {"per5min": 5, "per30min": 30}
+
+
+def rate_minutes(rate: str) -> int:
+    """Slot width of a reporting rate; ConfigError for an unknown name."""
+    if rate not in RATE_MINUTES:
+        raise ConfigError(f"rate must be one of {tuple(RATE_MINUTES)}, got {rate!r}")
+    return RATE_MINUTES[rate]
+
 
 @dataclass(frozen=True)
 class CatConfig:

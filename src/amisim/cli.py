@@ -21,6 +21,9 @@ import numpy as np
 
 import amisim
 from amisim.attacker import (
+    DEFAULT_ATTACKER_BATCH,
+    DEFAULT_ATTACKER_EPOCHS,
+    DEFAULT_ATTACKER_LR,
     build_attacker,
     build_threeclass,
     evaluate,
@@ -30,6 +33,7 @@ from amisim.attacker import (
     train_threeclass,
 )
 from amisim.cat import (
+    RATE_MINUTES,
     CatConfig,
     aggregate_error_cdf,
     patterns_for_traces,
@@ -38,6 +42,10 @@ from amisim.cat import (
     efficiency_table,
 )
 from amisim.data import (
+    DEFAULT_PERIODS_THRESHOLD,
+    TRAIN_FRACTION,
+    LabeledDataset,
+    LabeledRecord,
     PresenceLabel,
     Split,
     SyntheticConfig,
@@ -60,17 +68,9 @@ from amisim.defense import (
     train_defense,
     window_size,
 )
-from amisim.errors import (
-    AmisimError,
-    ConfigError,
-    CryptoError,
-    DataFormatError,
-    ParseError,
-)
+from amisim.errors import AmisimError, ConfigError, CryptoError, DataFormatError
 from amisim.nn import TrainConfig, load_params, save_history_csv, save_params
 from amisim.protocol import SimScenario, run_simulation
-
-RATE_MINUTES = {"per5min": 5, "per30min": 30}
 
 
 def _workdir(path: str) -> str:
@@ -169,13 +169,11 @@ def cmd_prep(args) -> int:
     if args.truth:
         truth = _load_truth(args.truth)
         records = []
-        from amisim.data import LabeledDataset, LabeledRecord
-
         rng = np.random.default_rng(args.seed)
         for trace in working:
             days = trace.days()
             order = rng.permutation(len(days))
-            cut = int(round(0.8 * len(days)))
+            cut = int(round(TRAIN_FRACTION * len(days)))
             split_for = {
                 days[i].date.isoformat(): (Split.TRAIN if rank < cut else Split.TEST)
                 for rank, i in enumerate(order)
@@ -285,6 +283,8 @@ def _attacker_view(path, dataset) -> dict:
 
 
 def cmd_eval(args) -> int:
+    if args.patterns and args.variant == "threeclass":
+        raise ConfigError("--patterns is for the twoclass attacker; threeclass makes its own")
     dataset, patterns = load_labeled_jsonl(_workdir(args.dataset))
     if patterns is None:
         raise DataFormatError("dataset lacks transmission bits; rerun prep")
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", choices=RATE_MINUTES, required=True)
     p.add_argument("--threshold", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--periods-threshold", type=float, default=0.4)
+    p.add_argument("--periods-threshold", type=float, default=DEFAULT_PERIODS_THRESHOLD)
     p.add_argument("--truth", help="use ground-truth labels instead of clustering")
     p.add_argument("--out", required=True, help="labeled JSONL path")
     p.set_defaults(func=cmd_prep)
@@ -431,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("attacker", "defense", "threeclass"), required=True)
     p.add_argument("--rate", choices=RATE_MINUTES, required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--learning-rate", type=float, default=0.001)
+    p.add_argument("--epochs", type=int, default=DEFAULT_ATTACKER_EPOCHS)
+    p.add_argument("--batch-size", type=int, default=DEFAULT_ATTACKER_BATCH)
+    p.add_argument("--learning-rate", type=float, default=DEFAULT_ATTACKER_LR)
     p.add_argument("--l2-lambda", type=float, default=0.0)
     p.add_argument("--max-windows", type=int, default=8000)
     p.add_argument("--threshold", type=float, default=10.0)
@@ -493,10 +493,7 @@ def main(argv=None) -> int:
     except (ConfigError, CryptoError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, DataFormatError, AmisimError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (AmisimError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -32,7 +32,6 @@ _SMALL_PRIMES = [
 @dataclass(frozen=True)
 class PaillierPublicKey:
     n: int
-    g: int
     n_sq: int = field(init=False)
 
     def __post_init__(self):
@@ -107,13 +106,11 @@ def paillier_keygen(bits: int = DEFAULT_KEY_BITS, rng: random.Random | None = No
         if n.bit_length() != bits:
             continue
         lam = math.lcm(p1 - 1, q1 - 1)
-        g = n + 1
-        n_sq = n * n
-        l_val = _l_function(pow(g, lam, n_sq), n)
-        if math.gcd(l_val, n) != 1:
+        # (n + 1)^lam = 1 + lam*n (mod n^2), so L(g^lam mod n^2) = lam, as lam < n.
+        if math.gcd(lam, n) != 1:
             continue
-        mu = pow(l_val, -1, n)
-        return PaillierPublicKey(n=n, g=g), PaillierPrivateKey(lam=lam, mu=mu)
+        mu = pow(lam, -1, n)
+        return PaillierPublicKey(n=n), PaillierPrivateKey(lam=lam, mu=mu)
     raise CryptoError("key generation failed after bounded retries")
 
 
@@ -142,10 +139,7 @@ def encrypt(
     else:
         if not 1 <= r < pk.n or math.gcd(r, pk.n) != 1:
             raise CryptoError("r must be in the multiplicative group Z_n*")
-    if pk.g == pk.n + 1:
-        g_m = (1 + m * pk.n) % pk.n_sq
-    else:
-        g_m = pow(pk.g, m, pk.n_sq)
+    g_m = (1 + m * pk.n) % pk.n_sq  # (n + 1)^m mod n^2
     return Ciphertext(value=(g_m * pow(r, pk.n, pk.n_sq)) % pk.n_sq)
 
 

@@ -57,10 +57,10 @@ class ExponentSuite:
         self.gt_gen = gt_gen
 
     @classmethod
-    def generate(cls, seed: int | None = None, q_bits: int = 160) -> "ExponentSuite":
-        """Deterministically build parameters from a seed (None = OS entropy)."""
+    def generate(cls, seed: int | None = None) -> "ExponentSuite":
+        """Deterministically build 160-bit-order parameters from a seed (None = OS entropy)."""
         rng = random.Random(seed) if seed is not None else random.SystemRandom()
-        q = _random_prime(q_bits, rng)
+        q = _random_prime(160, rng)
         # Find p = k*q + 1 prime, then an order-q generator of Z_p*.
         k = 2
         while True:

@@ -24,6 +24,7 @@ from amisim.data.traces import (
 from amisim.errors import DataFormatError, DegenerateDayError, ParseError
 
 DEFAULT_PERIODS_THRESHOLD = 0.4
+TRAIN_FRACTION = 0.8  # share of each consumer's days in the train split
 
 
 def periods_score(day: DayRecord) -> float:
@@ -52,7 +53,6 @@ def label_days(
     traces: list[ConsumptionTrace],
     cat_patterns: dict,
     periods_threshold: float = DEFAULT_PERIODS_THRESHOLD,
-    train_fraction: float = 0.8,
     seed: int = 0,
 ) -> LabeledDataset:
     """Label each consumer-day absent/present and assign a train/test split.
@@ -66,14 +66,14 @@ def label_days(
     as a candidate). Consumers with fewer than 2 days are labeled present.
 
     The split is stratified per consumer and label, seeded, with the train
-    share within one record of train_fraction.
+    share within one record of TRAIN_FRACTION.
     """
     records: list[LabeledRecord] = []
     rng = np.random.default_rng(seed)
     for trace in traces:
         days = trace.days()
         labels = _label_consumer(days, cat_patterns, periods_threshold, seed)
-        splits = _stratified_split(days, labels, train_fraction, rng)
+        splits = _stratified_split(days, labels, rng)
         for day, label, split in zip(days, labels, splits):
             records.append(LabeledRecord(day=day, label=label, split=split))
     return LabeledDataset(records=tuple(records))
@@ -119,14 +119,14 @@ def _label_consumer(days, cat_patterns, periods_threshold, seed):
     return labels
 
 
-def _stratified_split(days, labels, train_fraction, rng):
+def _stratified_split(days, labels, rng):
     splits = [Split.TRAIN] * len(days)
     for label in (PresenceLabel.PRESENT, PresenceLabel.ABSENT):
         idx = [i for i, lab in enumerate(labels) if lab is label]
         if not idx:
             continue
         order = rng.permutation(len(idx))
-        n_train = int(round(train_fraction * len(idx)))
+        n_train = int(round(TRAIN_FRACTION * len(idx)))
         for pos in order[n_train:]:
             splits[idx[pos]] = Split.TEST
     return splits
@@ -136,8 +136,8 @@ def _stratified_split(days, labels, train_fraction, rng):
 # JSONL persistence
 # ---------------------------------------------------------------------------
 
-def save_labeled_jsonl(path, dataset: LabeledDataset, patterns: dict | None = None):
-    """Write one JSON object per labeled day; optionally embed pattern bits."""
+def save_labeled_jsonl(path, dataset: LabeledDataset, patterns: dict):
+    """Write one JSON object per labeled day with its transmission bits."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in dataset.records:
             obj = {
@@ -147,10 +147,8 @@ def save_labeled_jsonl(path, dataset: LabeledDataset, patterns: dict | None = No
                 "readings": [float(x) for x in rec.day.readings],
                 "label": rec.label.value,
                 "split": rec.split.value,
+                "bits": [int(b) for b in patterns[rec.day.key]],
             }
-            if patterns is not None:
-                key = rec.day.key
-                obj["bits"] = [int(b) for b in patterns[key]]
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 

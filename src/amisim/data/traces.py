@@ -132,15 +132,10 @@ class LabeledDataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CsvFormat:
-    consumer_col: str = "consumer_id"
-    timestamp_col: str = "timestamp_iso8601"
-    kwh_col: str = "kwh"
-    delimiter: str = ","
+CSV_COLUMNS = ("consumer_id", "timestamp_iso8601", "kwh")
 
 
-def ingest_csv(path, fmt: CsvFormat = CsvFormat()) -> list[ConsumptionTrace]:
+def ingest_csv(path) -> list[ConsumptionTrace]:
     """Read per-consumer traces from a long-format CSV.
 
     Rows must be sorted by (consumer, timestamp) with a fixed slot width per
@@ -151,18 +146,15 @@ def ingest_csv(path, fmt: CsvFormat = CsvFormat()) -> list[ConsumptionTrace]:
     rows_by_consumer: dict[str, list[tuple[datetime, float]]] = {}
     order: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=fmt.delimiter)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             return []
         try:
-            c_idx = header.index(fmt.consumer_col)
-            t_idx = header.index(fmt.timestamp_col)
-            k_idx = header.index(fmt.kwh_col)
+            c_idx, t_idx, k_idx = (header.index(col) for col in CSV_COLUMNS)
         except ValueError:
             raise DataFormatError(
-                f"missing required columns {fmt.consumer_col},"
-                f"{fmt.timestamp_col},{fmt.kwh_col} in header {header}"
+                f"missing required columns {','.join(CSV_COLUMNS)} in header {header}"
             )
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -246,11 +238,11 @@ def _rows_to_trace(consumer: str, rows: list[tuple[datetime, float]]):
     )
 
 
-def write_traces_csv(path, traces: list[ConsumptionTrace], fmt: CsvFormat = CsvFormat()):
+def write_traces_csv(path, traces: list[ConsumptionTrace]):
     """Inverse of ingest_csv for round-tripping synthesized corpora."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=fmt.delimiter)
-        writer.writerow([fmt.consumer_col, fmt.timestamp_col, fmt.kwh_col])
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
         for trace in traces:
             t0 = datetime.combine(trace.start_date, datetime.min.time())
             step = timedelta(minutes=trace.granularity_minutes)

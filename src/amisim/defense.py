@@ -13,10 +13,13 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from datetime import date
 
 import numpy as np
 
-from amisim.cat import CatConfig, EuView, TransmissionPattern, apply_cat, cat_decide, schedule
+from amisim.cat import (
+    CatConfig, EuView, TransmissionPattern, apply_cat, cat_decide, rate_minutes, schedule,
+)
 from amisim.data.traces import ConsumptionTrace, DayRecord, PresenceLabel, resample
 from amisim.errors import ConfigError, ProtocolError
 from amisim.nn import (
@@ -33,27 +36,18 @@ from amisim.nn import (
     train,
 )
 
-WINDOW_PER5MIN = 100
-WINDOW_PER30MIN = 35
-
-DEFAULT_DEFENSE_EPOCHS = 60
-DEFAULT_DEFENSE_BATCH = 400
-DEFAULT_DEFENSE_LR = 0.0001
-
 
 def window_size(rate: str) -> int:
-    if rate == "per5min":
-        return WINDOW_PER5MIN
-    if rate == "per30min":
-        return WINDOW_PER30MIN
-    raise ConfigError(f"unknown rate {rate!r}")
+    """How many past transmission decisions the defense reads at a rate."""
+    return build_defense(rate).input_length
 
 
 def build_defense(rate: str) -> ModelSpec:
     """Next-decision predictor architecture for the given reporting rate."""
+    rate_minutes(rate)  # ConfigError for an unknown rate
     if rate == "per5min":
         return ModelSpec(
-            input_length=WINDOW_PER5MIN,
+            input_length=100,
             input_channels=1,
             layers=(
                 Conv1D(filters=150, kernel_size=3),
@@ -69,29 +63,27 @@ def build_defense(rate: str) -> ModelSpec:
             ),
             output_classes=2,
         )
-    if rate == "per30min":
-        return ModelSpec(
-            input_length=WINDOW_PER30MIN,
-            input_channels=1,
-            layers=(
-                Conv1D(filters=128, kernel_size=3),
-                Activation("relu"),
-                Conv1D(filters=64, kernel_size=3),
-                Activation("relu"),
-                Conv1D(filters=32, kernel_size=3),
-                Activation("relu"),
-                MaxPool1D(pool_size=2),
-                GRULayer(units=128),
-                Dense(units=128),
-                Activation("relu"),
-                Dense(units=32),
-                Activation("relu"),
-                Dense(units=2),
-                Activation("softmax"),
-            ),
-            output_classes=2,
-        )
-    raise ConfigError(f"unknown rate {rate!r}")
+    return ModelSpec(
+        input_length=35,
+        input_channels=1,
+        layers=(
+            Conv1D(filters=128, kernel_size=3),
+            Activation("relu"),
+            Conv1D(filters=64, kernel_size=3),
+            Activation("relu"),
+            Conv1D(filters=32, kernel_size=3),
+            Activation("relu"),
+            MaxPool1D(pool_size=2),
+            GRULayer(units=128),
+            Dense(units=128),
+            Activation("relu"),
+            Dense(units=32),
+            Activation("relu"),
+            Dense(units=2),
+            Activation("softmax"),
+        ),
+        output_classes=2,
+    )
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,9 @@ def present_runs(patterns_by_day, labels_by_day):
     """Concatenate consecutive present-day patterns per consumer.
 
     Both arguments are keyed by (consumer_id, ISO date). Returns bit
-    sequences, one per maximal run of consecutive present days.
+    sequences, one per maximal run of present days on consecutive calendar
+    dates: a run breaks at an absent day and at a date patterns_by_day
+    lacks, such as a day of the other split.
     """
     by_consumer: dict[str, list] = {}
     for (consumer, date_iso), pattern in patterns_by_day.items():
@@ -146,12 +140,15 @@ def present_runs(patterns_by_day, labels_by_day):
         entries.sort()
         current: list[np.ndarray] = []
         for date_iso, pattern in entries:
-            bits = pattern.bits if isinstance(pattern, TransmissionPattern) else pattern
-            if labels_by_day[(consumer, date_iso)] is PresenceLabel.PRESENT:
-                current.append(np.asarray(bits))
-            elif current:
+            day = date.fromisoformat(date_iso)
+            present = labels_by_day[(consumer, date_iso)] is PresenceLabel.PRESENT
+            if current and (not present or (day - last).days != 1):
                 runs.append(np.concatenate(current))
                 current = []
+            if present:
+                bits = pattern.bits if isinstance(pattern, TransmissionPattern) else pattern
+                current.append(np.asarray(bits))
+                last = day
         if current:
             runs.append(np.concatenate(current))
     return runs
@@ -194,15 +191,9 @@ class DefenseBundle:
 def train_defense(
     dataset: WindowDataset,
     spec: ModelSpec,
-    config: TrainConfig | None = None,
+    config: TrainConfig,
 ) -> tuple[Params, list]:
     """Train the next-decision predictor; returns (params, history)."""
-    if config is None:
-        config = TrainConfig(
-            epochs=DEFAULT_DEFENSE_EPOCHS,
-            batch_size=DEFAULT_DEFENSE_BATCH,
-            learning_rate=DEFAULT_DEFENSE_LR,
-        )
     if dataset.n != spec.input_length:
         raise ConfigError(
             f"window size {dataset.n} does not match model input {spec.input_length}"

@@ -15,10 +15,10 @@ def relu(x):
     return np.maximum(0.0, x)
 
 
-def elu(x, alpha: float = 1.0):
+def elu(x):
     out = np.array(x, dtype=np.float64, copy=True)
     neg = x < 0
-    out[neg] = alpha * np.expm1(x[neg])
+    out[neg] = np.expm1(x[neg])
     return out
 
 

@@ -10,6 +10,10 @@ from amisim.errors import ConfigError, TrainingError
 from amisim.nn.model import ModelSpec, Params, backward, forward, init_params, output_kind
 
 LOG_CLAMP = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+PREDICT_BATCH = 1024  # rows per forward call in predict_proba
 
 
 @dataclass(frozen=True)
@@ -17,9 +21,6 @@ class TrainConfig:
     epochs: int
     batch_size: int
     learning_rate: float
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     l2_lambda: float = 0.0
     rng_seed: int = 0
 
@@ -82,7 +83,7 @@ def adam_step(params: Params, grads, config: TrainConfig, t: int) -> Params:
     """Standard Adam update with bias correction; t counts from 1."""
     if t < 1:
         raise ConfigError("Adam step index starts at 1")
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     lr = config.learning_rate
     for i, layer_grads in enumerate(grads):
         for key, g in layer_grads.items():
@@ -150,12 +151,12 @@ def train(spec: ModelSpec, x, labels, config: TrainConfig, params: Params | None
     return params, history
 
 
-def predict_proba(spec, params, x, batch_size: int = 1024):
+def predict_proba(spec, params, x):
     """Forward in chunks; returns output rows for each input row."""
     x = np.asarray(x, dtype=np.float64)
     outs = []
-    for start in range(0, len(x), batch_size):
-        out, _ = forward(spec, params, x[start : start + batch_size])
+    for start in range(0, len(x), PREDICT_BATCH):
+        out, _ = forward(spec, params, x[start : start + PREDICT_BATCH])
         outs.append(out)
     return np.concatenate(outs, axis=0)
 

@@ -46,6 +46,7 @@ from amisim.errors import (
 )
 
 SIM_EPOCH_MS = 1_451_606_400_000  # 2016-01-01T00:00:00Z
+FRESHNESS_SLOTS = 2  # a message stamped more slots than this from now is stale
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,6 @@ class SimScenario:
     seed: int = 0
     paillier_bits: int = 512
     pairing_backend: str = "exp"
-    freshness_slots: int = 2
 
 
 @dataclass
@@ -347,7 +347,7 @@ def run_simulation(scenario: SimScenario) -> SimulationReport:
     bits = np.array([np.concatenate([patterns[k].bits for k in row]) for row in keys])
     held = np.array([np.concatenate([views[k].values for k in row]) for row in keys])
     slot_ms = cat.granularity_minutes * 60_000
-    freshness_ms = scenario.freshness_slots * slot_ms
+    freshness_ms = FRESHNESS_SLOTS * slot_ms
 
     setup = SetupConfig(
         sm_count=len(working),

@@ -13,6 +13,9 @@ from amisim.attacker import (
     sr_fa_from_confusion,
     train_attacker,
 )
+from amisim.cat import RATE_MINUTES, rate_minutes
+from amisim.data import slots_per_day
+from amisim.defense import build_defense, window_size
 from amisim.errors import ConfigError
 from amisim.nn import (
     Activation,
@@ -65,8 +68,15 @@ def test_threeclass_architectures():
 
 
 def test_bad_rate_rejected():
-    with pytest.raises(ConfigError):
-        build_attacker("per1min")
+    for build in (build_attacker, build_threeclass, build_defense, window_size, rate_minutes):
+        with pytest.raises(ConfigError):
+            build("per1min")
+
+
+def test_attackers_read_one_day_of_slots():
+    for rate, minutes in RATE_MINUTES.items():
+        for build in (build_attacker, build_threeclass):
+            assert build(rate).input_length == slots_per_day(minutes), (build, rate)
 
 
 def test_sr_fa_verbatim_formulas():

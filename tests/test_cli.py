@@ -91,10 +91,14 @@ def test_efficiency_table_csv(corpus_files, tmp_path):
     assert len(lines) == 5
 
 
-def test_missing_input_exits_3(tmp_path):
-    assert main([
-        "ingest", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv"),
-    ]) == 3
+def test_missing_input_exits_3(corpus_files, tmp_path):
+    traces, _ = corpus_files
+    for infile, out in (
+        (tmp_path / "nope.csv", tmp_path / "o.csv"),  # a missing input
+        (tmp_path, tmp_path / "o.csv"),  # an input that is a directory
+        (traces, tmp_path),  # an output that is a directory
+    ):
+        assert main(["ingest", "--in", str(infile), "--out", str(out)]) == 3, (infile, out)
 
 
 def test_bad_config_exits_2(corpus_files, tmp_path):
@@ -109,6 +113,27 @@ def test_bad_config_exits_2(corpus_files, tmp_path):
         "train", "--dataset", str(labeled), "--target", "threeclass",
         "--rate", "per30min", "--epochs", "1",
         "--out", str(tmp_path / "x.bin"),
+    ]) == 2
+
+
+def test_threeclass_eval_with_patterns_exits_2(corpus_files, tmp_path):
+    # The threeclass attacker makes its own spoofed days, so --patterns would be ignored.
+    traces, truth = corpus_files
+    labeled, defense, params, view = (
+        str(tmp_path / name) for name in ("labeled.jsonl", "d.bin", "t.bin", "view.json"))
+    train = ["train", "--dataset", labeled, "--rate", "per30min", "--epochs", "0"]
+    for argv in (
+        ["prep", "--traces", str(traces), "--rate", "per30min", "--seed", "7",
+         "--truth", str(truth), "--out", labeled],
+        train + ["--target", "defense", "--out", defense],
+        train + ["--target", "threeclass", "--defense-params", defense, "--out", params],
+    ):
+        assert main(argv) == 0, argv
+    (tmp_path / "view.json").write_text('{"attacker_view": {}}')
+    assert main([
+        "eval", "--dataset", labeled, "--params", params, "--rate", "per30min",
+        "--variant", "threeclass", "--defense-params", defense, "--patterns", view,
+        "--out", str(tmp_path / "e.json"),
     ]) == 2
 
 

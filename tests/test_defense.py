@@ -73,20 +73,17 @@ def test_build_window_dataset_skips_short():
 
 
 def test_present_runs_concatenates_consecutive_days():
-    patterns = {
-        ("a", "2016-01-01"): np.ones(4, dtype=np.uint8),
-        ("a", "2016-01-02"): np.zeros(4, dtype=np.uint8),
-        ("a", "2016-01-03"): np.ones(4, dtype=np.uint8),
-        ("a", "2016-01-04"): np.ones(4, dtype=np.uint8),
-    }
-    labels = {
-        ("a", "2016-01-01"): PresenceLabel.PRESENT,
-        ("a", "2016-01-02"): PresenceLabel.ABSENT,
-        ("a", "2016-01-03"): PresenceLabel.PRESENT,
-        ("a", "2016-01-04"): PresenceLabel.PRESENT,
-    }
-    runs = present_runs(patterns, labels)
-    assert sorted(len(r) for r in runs) == [4, 8]
+    present, absent = PresenceLabel.PRESENT, PresenceLabel.ABSENT
+    for days in (
+        {1: present, 2: absent, 3: present, 4: present},
+        # Day 3 is missing (say, in the other split): days 2 and 4 are not adjacent.
+        {1: present, 2: present, 4: present},
+    ):
+        keys = {d: ("a", f"2016-01-0{d}") for d in days}
+        patterns = {keys[d]: np.ones(4, dtype=np.uint8) for d in days}
+        labels = {keys[d]: label for d, label in days.items()}
+        runs = present_runs(patterns, labels)
+        assert sorted(len(r) for r in runs) == [4, 8], days
 
 
 def test_subsample_windows_balance():

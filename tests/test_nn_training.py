@@ -18,6 +18,7 @@ from amisim.nn import (
     one_hot,
     train,
 )
+from amisim.nn.training import ADAM_EPS
 
 
 def _toy_spec(hidden=8):
@@ -94,7 +95,7 @@ def test_adam_first_step_closed_form():
     m_hat = g  # m/(1-b1) with m=(1-b1) g
     v_hat = g * g
     expected = w_before - config.learning_rate * m_hat / (
-        np.sqrt(v_hat) + config.adam_eps
+        np.sqrt(v_hat) + ADAM_EPS
     )
     assert np.allclose(params.weights[1]["W"], expected, atol=1e-12)
 

@@ -24,7 +24,6 @@ def test_keygen_structure(keys):
     pk, sk = keys
     assert pk.n.bit_length() == 512
     assert pk.n % 2 == 1
-    assert pk.g == pk.n + 1
     assert decrypt(sk, pk, encrypt(pk, 0, rng=random.Random(0))) == 0
 
 

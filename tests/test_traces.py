@@ -3,7 +3,6 @@ import pytest
 
 from amisim.data import (
     ConsumptionTrace,
-    CsvFormat,
     PresenceLabel,
     SyntheticConfig,
     ingest_csv,
@@ -95,7 +94,7 @@ def test_csv_round_trip(tmp_path):
     traces, _ = synthesize(SyntheticConfig(consumer_count=2, day_count=1, rng_seed=3))
     path = tmp_path / "out.csv"
     write_traces_csv(path, traces)
-    back = ingest_csv(path, CsvFormat())
+    back = ingest_csv(path)
     assert len(back) == 2
     for a, b in zip(traces, back):
         assert a.consumer_id == b.consumer_id
