@@ -73,23 +73,16 @@ from amisim.nn import TrainConfig, load_params, save_history_csv, save_params
 from amisim.protocol import SimScenario, run_simulation
 
 
-def _workdir(path: str) -> str:
-    base = os.environ.get("AMISIM_WORKDIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _write_json(path, payload: dict):
     payload = dict(payload)
     payload["version"] = amisim.__version__
-    with open(_workdir(path), "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _read_json(path) -> dict:
-    with open(_workdir(path), encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
@@ -140,7 +133,7 @@ def _synth_config(args) -> SyntheticConfig:
 def cmd_synth(args) -> int:
     config = _synth_config(args)
     traces, truth = synthesize(config)
-    write_traces_csv(_workdir(args.out), traces)
+    write_traces_csv(args.out, traces)
     _write_json(
         args.truth,
         {
@@ -154,14 +147,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    traces = ingest_csv(_workdir(args.infile))
-    write_traces_csv(_workdir(args.out), traces)
+    traces = ingest_csv(args.infile)
+    write_traces_csv(args.out, traces)
     print(f"ingested {len(traces)} traces ({sum(t.day_count for t in traces)} days)")
     return 0
 
 
 def cmd_prep(args) -> int:
-    traces = ingest_csv(_workdir(args.traces))
+    traces = ingest_csv(args.traces)
+    if not traces:
+        raise DataFormatError(f"{args.traces}: no whole day of readings to label")
     cat = _cat(args)
     patterns, _ = patterns_for_traces(traces, cat)
     bits = {key: p.bits for key, p in patterns.items()}
@@ -191,7 +186,7 @@ def cmd_prep(args) -> int:
         dataset = label_days(
             working, bits, periods_threshold=args.periods_threshold, seed=args.seed
         )
-    save_labeled_jsonl(_workdir(args.out), dataset, patterns=bits)
+    save_labeled_jsonl(args.out, dataset, patterns=bits)
     n_absent = sum(r.label is PresenceLabel.ABSENT for r in dataset.records)
     print(f"labeled {len(dataset.records)} days ({n_absent} absent) -> {args.out}")
     return 0
@@ -220,10 +215,18 @@ def _threeclass_sets(args, dataset, split):
     return sets
 
 
-def cmd_train(args) -> int:
-    dataset, patterns = load_labeled_jsonl(_workdir(args.dataset))
+def _load_dataset(path):
+    """A prep output's records and transmission bits; either missing is a data error."""
+    dataset, patterns = load_labeled_jsonl(path)
+    if not dataset.records:
+        raise DataFormatError(f"{path}: no records; rerun prep on a corpus with whole days")
     if patterns is None:
-        raise DataFormatError("dataset lacks transmission bits; rerun prep")
+        raise DataFormatError(f"{path}: dataset lacks transmission bits; rerun prep")
+    return dataset, patterns
+
+
+def cmd_train(args) -> int:
+    dataset, patterns = _load_dataset(args.dataset)
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -250,16 +253,16 @@ def cmd_train(args) -> int:
     else:  # threeclass: regenerate spoofing patterns with the known defense
         sets = _threeclass_sets(args, dataset, Split.TRAIN)
         _, params, history = train_threeclass(args.rate, *sets, config=config)
-    save_params(_workdir(args.out), params)
+    save_params(args.out, params)
     if args.history:
-        save_history_csv(_workdir(args.history), history)
+        save_history_csv(args.history, history)
     print(f"trained {args.target} ({args.epochs} epochs) -> {args.out}")
     return 0
 
 
 def _bundle_from(args) -> DefenseBundle:
     spec = build_defense(args.rate)
-    params = load_params(_workdir(args.defense_params), spec)
+    params = load_params(args.defense_params, spec)
     return DefenseBundle(spec=spec, params=params, n=window_size(args.rate))
 
 
@@ -285,9 +288,7 @@ def _attacker_view(path, dataset) -> dict:
 def cmd_eval(args) -> int:
     if args.patterns and args.variant == "threeclass":
         raise ConfigError("--patterns is for the twoclass attacker; threeclass makes its own")
-    dataset, patterns = load_labeled_jsonl(_workdir(args.dataset))
-    if patterns is None:
-        raise DataFormatError("dataset lacks transmission bits; rerun prep")
+    dataset, patterns = _load_dataset(args.dataset)
     if args.patterns:
         patterns = {**patterns, **_attacker_view(args.patterns, dataset)}
     test = [r for r in dataset.records if r.split is Split.TEST]
@@ -296,12 +297,12 @@ def cmd_eval(args) -> int:
     if args.variant == "threeclass":
         sets = _threeclass_sets(args, dataset, Split.TEST)
         spec = build_threeclass(args.rate)
-        params = load_params(_workdir(args.params), spec)
+        params = load_params(args.params, spec)
         report = evaluate_threeclass(spec, params, *sets).report
     else:
         x, y = _dataset_patterns(dataset, patterns, Split.TEST)
         spec = build_attacker(args.rate)
-        params = load_params(_workdir(args.params), spec)
+        params = load_params(args.params, spec)
         report = evaluate(spec, params, x, y)
     payload = {
         "config": {
@@ -315,7 +316,7 @@ def cmd_eval(args) -> int:
     }
     _write_json(args.out, payload)
     if args.roc:
-        with open(_workdir(args.roc), "w", encoding="utf-8") as fh:
+        with open(args.roc, "w", encoding="utf-8") as fh:
             fh.write("fa,sr\n")
             for fpr, tpr in report.roc_points:
                 fh.write(f"{fpr!r},{tpr!r}\n")
@@ -324,7 +325,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    traces = ingest_csv(_workdir(args.traces))
+    traces = ingest_csv(args.traces)
     truth = _load_truth(args.truth)
     cat = _cat(args)
     bundle = _bundle_from(args) if args.defense_params else None
@@ -346,7 +347,7 @@ def cmd_simulate(args) -> int:
             for day in trace.days():
                 days[day.key] = day
         cdf, _ = aggregate_error_cdf(days, report.eu_views)
-        write_cdf_csv(_workdir(args.error_cdf), cdf)
+        write_cdf_csv(args.error_cdf, cdf)
     print(
         f"simulated {report.slots} slots: exact={report.all_exact} "
         f"efficiency={report.efficiency_percent:.2f}% -> {args.out}"
@@ -355,9 +356,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    traces = ingest_csv(_workdir(args.traces))
+    traces = ingest_csv(args.traces)
     table = efficiency_table(traces, thresholds=args.thresholds, rates=args.rates)
-    write_efficiency_csv(_workdir(args.out), table)
+    write_efficiency_csv(args.out, table)
     print(f"wrote {len(table)} efficiency cells -> {args.out}")
     return 0
 
@@ -399,15 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True, help="traces CSV path")
     p.add_argument("--truth", required=True, help="ground-truth labels JSON path")
-    p.add_argument("--absence-probability", type=float, default=0.3)
-    p.add_argument("--rate-present", type=float, default=4.0)
-    p.add_argument("--rate-absent", type=float, default=0.3)
-    p.add_argument("--event-duration", type=float, default=8.0)
-    p.add_argument("--duration-jitter", type=float, default=0.25)
-    p.add_argument("--gap-jitter", type=float, default=0.25)
-    p.add_argument("--activity-jitter", type=float, default=0.35)
-    p.add_argument("--rate-spread", type=float, default=0.0)
-    p.add_argument("--duration-spread", type=float, default=0.0)
+    p.add_argument("--absence-probability", type=float, default=SyntheticConfig.absence_probability)
+    p.add_argument("--rate-present", type=float, default=SyntheticConfig.event_rate_present_per_hour)
+    p.add_argument("--rate-absent", type=float, default=SyntheticConfig.event_rate_absent_per_hour)
+    p.add_argument("--event-duration", type=float, default=SyntheticConfig.event_duration_minutes)
+    p.add_argument("--duration-jitter", type=float, default=SyntheticConfig.event_duration_jitter)
+    p.add_argument("--gap-jitter", type=float, default=SyntheticConfig.event_gap_jitter)
+    p.add_argument("--activity-jitter", type=float, default=SyntheticConfig.activity_jitter)
+    p.add_argument("--rate-spread", type=float, default=SyntheticConfig.consumer_rate_spread)
+    p.add_argument("--duration-spread", type=float, default=SyntheticConfig.consumer_duration_spread)
     p.add_argument("--no-diurnal", action="store_true")
     p.set_defaults(func=cmd_synth)
 

@@ -177,6 +177,10 @@ def ingest_csv(path) -> list[ConsumptionTrace]:
             if consumer not in rows_by_consumer:
                 rows_by_consumer[consumer] = []
                 order.append(consumer)
+            elif (ts.tzinfo is None) != (rows_by_consumer[consumer][0][0].tzinfo is None):
+                raise ParseError(
+                    f"consumer {consumer}: timestamps with and without a UTC offset", lineno
+                )
             rows_by_consumer[consumer].append((ts, kwh))
 
     traces = []

@@ -149,27 +149,15 @@ def infer_shapes(spec: ModelSpec):
 
 @dataclass
 class Params:
-    """Trainable arrays plus Adam moment state, aligned with spec.layers."""
+    """Trainable arrays, aligned with spec.layers."""
 
     spec_hash: str
     weights: list[dict[str, np.ndarray]]
-    adam_m: list[dict[str, np.ndarray]]
-    adam_v: list[dict[str, np.ndarray]]
-    step: int = 0
 
     def zero_like_weights(self):
         return [
             {k: np.zeros_like(v) for k, v in layer.items()} for layer in self.weights
         ]
-
-    def copy(self) -> "Params":
-        return Params(
-            spec_hash=self.spec_hash,
-            weights=[{k: v.copy() for k, v in d.items()} for d in self.weights],
-            adam_m=[{k: v.copy() for k, v in d.items()} for d in self.adam_m],
-            adam_v=[{k: v.copy() for k, v in d.items()} for d in self.adam_v],
-            step=self.step,
-        )
 
 
 def _glorot(rng, fan_in, fan_out, shape):
@@ -178,7 +166,7 @@ def _glorot(rng, fan_in, fan_out, shape):
 
 
 def init_params(spec: ModelSpec, seed: int) -> Params:
-    """Seeded Glorot-uniform weights, zero biases, zero Adam moments."""
+    """Seeded Glorot-uniform weights and zero biases."""
     rng = np.random.default_rng(seed)
     shapes = infer_shapes(spec)
     weights: list[dict[str, np.ndarray]] = []
@@ -204,13 +192,7 @@ def init_params(spec: ModelSpec, seed: int) -> Params:
                 entry[f"W{gate}"] = _glorot(rng, c_in + u, u, (c_in + u, u))
                 entry[f"b{gate}"] = np.zeros(u)
         weights.append(entry)
-    return Params(
-        spec_hash=spec.hash(),
-        weights=weights,
-        adam_m=[{k: np.zeros_like(v) for k, v in d.items()} for d in weights],
-        adam_v=[{k: np.zeros_like(v) for k, v in d.items()} for d in weights],
-        step=0,
-    )
+    return Params(spec_hash=spec.hash(), weights=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -79,29 +79,28 @@ def loss_and_grads(spec, params, x, y, l2_lambda: float = 0.0):
     return loss, out, grads
 
 
-def adam_step(params: Params, grads, config: TrainConfig, t: int) -> Params:
-    """Standard Adam update with bias correction; t counts from 1."""
+def adam_step(params: Params, grads, m, v, config: TrainConfig, t: int) -> Params:
+    """Standard Adam update with bias correction; t counts from 1. The
+    weights and the moments m, v (shaped like the weights) change in place."""
     if t < 1:
         raise ConfigError("Adam step index starts at 1")
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     lr = config.learning_rate
     for i, layer_grads in enumerate(grads):
         for key, g in layer_grads.items():
-            m = params.adam_m[i][key]
-            v = params.adam_v[i][key]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
+            m_k, v_k = m[i][key], v[i][key]
+            m_k *= b1
+            m_k += (1.0 - b1) * g
+            v_k *= b2
+            v_k += (1.0 - b2) * g * g
+            m_hat = m_k / (1.0 - b1**t)
+            v_hat = v_k / (1.0 - b2**t)
             params.weights[i][key] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    params.step = t
     return params
 
 
-def train(spec: ModelSpec, x, labels, config: TrainConfig, params: Params | None = None):
-    """Mini-batch Adam training; returns (params, history).
+def train(spec: ModelSpec, x, labels, config: TrainConfig):
+    """Mini-batch Adam training from init_params; returns (params, history).
 
     history holds one dict per epoch with mean loss and accuracy measured
     on the shuffled training stream before each update. Training is
@@ -116,11 +115,11 @@ def train(spec: ModelSpec, x, labels, config: TrainConfig, params: Params | None
         raise ConfigError("empty training set")
     y = one_hot(labels, spec.output_classes)
 
-    if params is None:
-        params = init_params(spec, seed=config.rng_seed)
+    params = init_params(spec, seed=config.rng_seed)
+    m, v = params.zero_like_weights(), params.zero_like_weights()
     rng = np.random.default_rng(config.rng_seed + 1)
     history = []
-    t = params.step
+    t = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(x))
         losses = []
@@ -140,7 +139,7 @@ def train(spec: ModelSpec, x, labels, config: TrainConfig, params: Params | None
             losses.append(loss)
             sizes.append(len(sel))
             t += 1
-            adam_step(params, grads, config, t)
+            adam_step(params, grads, m, v, config, t)
         history.append(
             {
                 "epoch": epoch + 1,

@@ -162,7 +162,8 @@ def test_eval_empty_test_split_fails(corpus_files, tmp_path):
     assert code == 3
 
 
-def test_eval_truncated_params_exits_3(corpus_files, tmp_path):
+def _untrained_attacker(corpus_files, tmp_path):
+    """A per30min prep output and a 0-epoch attacker params file for it."""
     traces, truth = corpus_files
     labeled = tmp_path / "labeled.jsonl"
     assert main([
@@ -175,6 +176,11 @@ def test_eval_truncated_params_exits_3(corpus_files, tmp_path):
         "--rate", "per30min", "--seed", "7", "--epochs", "0",
         "--out", str(params),
     ]) == 0
+    return labeled, params
+
+
+def test_eval_truncated_params_exits_3(corpus_files, tmp_path):
+    labeled, params = _untrained_attacker(corpus_files, tmp_path)
     blob = params.read_bytes()
     params.write_bytes(blob[: len(blob) // 2])
     code = main([
@@ -182,6 +188,36 @@ def test_eval_truncated_params_exits_3(corpus_files, tmp_path):
         "--rate", "per30min", "--out", str(tmp_path / "e.json"),
     ])
     assert code == 3
+
+
+def test_eval_format_version_1_params_exits_3(corpus_files, tmp_path, capsys):
+    labeled, params = _untrained_attacker(corpus_files, tmp_path)
+    blob = params.read_bytes()
+    params.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+    capsys.readouterr()
+    code = main([
+        "eval", "--dataset", str(labeled), "--params", str(params),
+        "--rate", "per30min", "--out", str(tmp_path / "e.json"),
+    ])
+    assert code == 3
+    assert "version 1 " in capsys.readouterr().err
+
+
+def test_corpus_without_whole_day_exits_3(tmp_path, capsys):
+    traces = tmp_path / "one-row.csv"
+    traces.write_text("consumer_id,timestamp_iso8601,kwh\na,2016-01-01T00:00:00,0.005\n")
+    labeled = tmp_path / "labeled.jsonl"
+    prep = ["prep", "--traces", str(traces), "--rate", "per5min", "--out", str(labeled)]
+    assert main(prep) == 3
+    assert "no whole day" in capsys.readouterr().err
+    assert not labeled.exists()
+    labeled.write_text("")  # what prep used to write for such a corpus
+    for command in (
+        ["train", "--target", "attacker", "--out", str(tmp_path / "a.bin")],
+        ["eval", "--params", str(tmp_path / "a.bin"), "--out", str(tmp_path / "e.json")],
+    ):
+        assert main([*command, "--dataset", str(labeled), "--rate", "per5min"]) == 3
+        assert "no records" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing-key", "not-an-object", "no-readings",

@@ -178,18 +178,25 @@ def test_params_serialize_round_trip_bit_exact(tmp_path):
         output_classes=2,
     )
     params = init_params(spec, seed=9)
-    params.adam_m[0]["W"] += 0.125  # exercise non-zero optimizer state
-    params.step = 17
     path = tmp_path / "params.bin"
     save_params(path, params)
     loaded = load_params(path, spec)
-    assert loaded.step == 17
     for a, b in zip(params.weights, loaded.weights):
         for key in a:
             assert a[key].tobytes() == b[key].tobytes()
-    for a, b in zip(params.adam_m, loaded.adam_m):
-        for key in a:
-            assert a[key].tobytes() == b[key].tobytes()
+    # Weights only: no optimiser state rides along.
+    n_weights = sum(arr.size for layer in params.weights for arr in layer.values())
+    assert path.stat().st_size <= 8 * n_weights + 1024
+
+
+def test_params_load_refuses_format_version_1(tmp_path):
+    spec = _mlp(4)
+    path = tmp_path / "params.bin"
+    save_params(path, init_params(spec, seed=0))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(DataFormatError, match="version 1 "):
+        load_params(path, spec)
 
 
 def test_params_load_rejects_wrong_spec(tmp_path):
@@ -214,10 +221,19 @@ def test_params_load_rejects_every_truncation(tmp_path):
             load_params(cut, spec)
 
 
-@pytest.mark.parametrize("group", ["weights", "adam_m", "adam_v"])
+def test_params_load_rejects_undecodable_array_name(tmp_path):
+    spec = _mlp(4)
+    path = tmp_path / "params.bin"
+    save_params(path, init_params(spec, seed=0))
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b"\x01\x00\x00\x00W", 44) + 4] = 0xFF  # the first array name, "W"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="names mismatch"):
+        load_params(path, spec)
+
+
+@pytest.mark.parametrize("group", ["weights"])
 def test_params_load_rejects_misshapen_array_in_every_group(tmp_path, group):
-    # A moment array of the wrong shape would load and then break the next
-    # Adam step with a numpy broadcast error.
     spec = _mlp(4)
     params = init_params(spec, seed=0)
     next(layer for layer in getattr(params, group) if "W" in layer)["W"] = np.zeros(1)

@@ -70,7 +70,8 @@ def test_adam_zero_gradient_keeps_params():
     params = init_params(spec, seed=0)
     before = [{k: v.copy() for k, v in w.items()} for w in params.weights]
     zeros = params.zero_like_weights()
-    adam_step(params, zeros, TrainConfig(epochs=1, batch_size=1, learning_rate=0.1), t=1)
+    m, v = params.zero_like_weights(), params.zero_like_weights()
+    adam_step(params, zeros, m, v, TrainConfig(epochs=1, batch_size=1, learning_rate=0.1), t=1)
     for a, b in zip(before, params.weights):
         for key in a:
             assert np.array_equal(a[key], b[key])
@@ -91,7 +92,8 @@ def test_adam_first_step_closed_form():
     g = np.array([[0.37]])
     grads = params.zero_like_weights()
     grads[1]["W"] = g
-    adam_step(params, grads, config, t=1)
+    m, v = params.zero_like_weights(), params.zero_like_weights()
+    adam_step(params, grads, m, v, config, t=1)
     m_hat = g  # m/(1-b1) with m=(1-b1) g
     v_hat = g * g
     expected = w_before - config.learning_rate * m_hat / (
@@ -111,11 +113,12 @@ def test_adam_minimizes_scalar_quadratic():
     )
     params = init_params(spec, seed=0)
     params.weights[1]["W"][:] = 0.0
+    m, v = params.zero_like_weights(), params.zero_like_weights()
     for t in range(1, 2001):
         w = params.weights[1]["W"][0, 0]
         grads = params.zero_like_weights()
         grads[1]["W"] = np.array([[2.0 * (w - 3.0)]])
-        adam_step(params, grads, config, t=t)
+        adam_step(params, grads, m, v, config, t=t)
     assert abs(params.weights[1]["W"][0, 0] - 3.0) < 1e-3
 
 
@@ -158,10 +161,11 @@ def test_full_batch_loss_non_increasing_first_steps():
     y = one_hot(labels, 2)
     config = TrainConfig(epochs=1, batch_size=40, learning_rate=1e-3, rng_seed=0)
     params = init_params(spec, seed=0)
+    m, v = params.zero_like_weights(), params.zero_like_weights()
     losses = [model_loss(spec, params, x, y)]
     for t in range(1, 11):
         _, _, grads = loss_and_grads(spec, params, x, y)
-        adam_step(params, grads, config, t=t)
+        adam_step(params, grads, m, v, config, t=t)
         losses.append(model_loss(spec, params, x, y))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 

@@ -47,6 +47,17 @@ def test_ingest_negative_kwh_names_line(tmp_path):
     assert "line 3" in str(exc.value)
 
 
+def test_ingest_mixed_utc_offsets_names_line(tmp_path):
+    text = (
+        "consumer_id,timestamp_iso8601,kwh\n"
+        "a,2016-01-01T00:00:00+00:00,0.005\n"
+        "a,2016-01-01T00:05:00,0.002\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        ingest_csv(_write(tmp_path, text))
+    assert "line 3" in str(exc.value)
+
+
 def test_ingest_forward_fills_gaps(tmp_path):
     lines = ["consumer_id,timestamp_iso8601,kwh"]
     minute = 0
