@@ -49,11 +49,14 @@ from amisim.data import (
     PresenceLabel,
     Split,
     SyntheticConfig,
+    format_day_key,
     ingest_csv,
     label_days,
     load_labeled_jsonl,
+    parse_day_key,
     resample,
     save_labeled_jsonl,
+    split_days,
     synthesize,
     traces_from_day_records,
     transmission_bits,
@@ -103,7 +106,7 @@ def _read_field(path, *keys):
 def _load_truth(path) -> dict:
     labels = _read_field(path, "labels")
     try:
-        return {tuple(key.split("|", 1)): PresenceLabel(value) for key, value in labels.items()}
+        return {parse_day_key(key): PresenceLabel(value) for key, value in labels.items()}
     except (ValueError, TypeError, AttributeError) as exc:  # not an object, or a bad label
         raise DataFormatError(f"truth file {path}: bad 'labels' ({exc})") from None
 
@@ -139,7 +142,7 @@ def cmd_synth(args) -> int:
         {
             "config": {k: str(v) if not isinstance(v, (int, float, bool)) else v
                        for k, v in vars(config).items()},
-            "labels": {f"{c}|{d}": label.value for (c, d), label in sorted(truth.items())},
+            "labels": {format_day_key(key): label.value for key, label in sorted(truth.items())},
         },
     )
     print(f"wrote {len(traces)} traces to {args.out}")
@@ -167,25 +170,20 @@ def cmd_prep(args) -> int:
         rng = np.random.default_rng(args.seed)
         for trace in working:
             days = trace.days()
-            order = rng.permutation(len(days))
-            cut = int(round(TRAIN_FRACTION * len(days)))
-            split_for = {
-                days[i].date.isoformat(): (Split.TRAIN if rank < cut else Split.TEST)
-                for rank, i in enumerate(order)
-            }
-            for day in days:
-                records.append(
-                    LabeledRecord(
-                        day=day,
-                        label=day.label_in(truth),
-                        split=split_for[day.date.isoformat()],
-                    )
-                )
+            for day, split in zip(days, split_days(len(days), rng)):
+                records.append(LabeledRecord(day=day, label=day.label_in(truth), split=split))
         dataset = LabeledDataset(records=tuple(records))
     else:
         dataset = label_days(
             working, bits, periods_threshold=args.periods_threshold, seed=args.seed
         )
+    for split in Split:
+        if all(r.split is not split for r in dataset.records):
+            raise DataFormatError(
+                f"{args.traces}: empty {split.value} split; of each consumer's n whole "
+                f"days (of each label group's, without --truth) round({TRAIN_FRACTION} x n) "
+                "go to train, so a test day needs a group of 3 or more days"
+            )
     save_labeled_jsonl(args.out, dataset, patterns=bits)
     n_absent = sum(r.label is PresenceLabel.ABSENT for r in dataset.records)
     print(f"labeled {len(dataset.records)} days ({n_absent} absent) -> {args.out}")
@@ -273,13 +271,13 @@ def _attacker_view(path, dataset) -> dict:
     view = _read_field(path, "attacker_view")
     if not isinstance(view, dict):
         raise DataFormatError(f"{path}: attacker_view is not an object")
-    slots = {"|".join(rec.day.key): rec.day.readings.size for rec in dataset.records}
+    slots = {format_day_key(rec.day.key): rec.day.readings.size for rec in dataset.records}
     patterns = {}
     for key, bits in view.items():
         if key not in slots:
             continue
         try:
-            patterns[tuple(key.split("|", 1))] = transmission_bits(bits, slots[key])
+            patterns[parse_day_key(key)] = transmission_bits(bits, slots[key])
         except DataFormatError as exc:
             raise DataFormatError(f"{path}: attacker_view[{key!r}]: {exc}") from None
     return patterns

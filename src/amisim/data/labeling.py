@@ -73,7 +73,7 @@ def label_days(
     for trace in traces:
         days = trace.days()
         labels = _label_consumer(days, cat_patterns, periods_threshold, seed)
-        splits = _stratified_split(days, labels, rng)
+        splits = _stratified_split(labels, rng)
         for day, label, split in zip(days, labels, splits):
             records.append(LabeledRecord(day=day, label=label, split=split))
     return LabeledDataset(records=tuple(records))
@@ -119,16 +119,24 @@ def _label_consumer(days, cat_patterns, periods_threshold, seed):
     return labels
 
 
-def _stratified_split(days, labels, rng):
-    splits = [Split.TRAIN] * len(days)
+def split_days(n: int, rng) -> list[Split]:
+    """The split rule: a seeded shuffle of n days puts the first
+    round(TRAIN_FRACTION * n) in train and the rest in test. So a group of
+    one or two days has no test day. Draws one rng.permutation(n)."""
+    order = rng.permutation(n)
+    splits = [Split.TEST] * n
+    for pos in order[: int(round(TRAIN_FRACTION * n))]:
+        splits[pos] = Split.TRAIN
+    return splits
+
+
+def _stratified_split(labels, rng):
+    """split_days over each label group of one consumer's days."""
+    splits = [Split.TRAIN] * len(labels)
     for label in (PresenceLabel.PRESENT, PresenceLabel.ABSENT):
         idx = [i for i, lab in enumerate(labels) if lab is label]
-        if not idx:
-            continue
-        order = rng.permutation(len(idx))
-        n_train = int(round(TRAIN_FRACTION * len(idx)))
-        for pos in order[n_train:]:
-            splits[idx[pos]] = Split.TEST
+        for i, split in zip(idx, split_days(len(idx), rng)):  # n = 0 draws nothing
+            splits[i] = split
     return splits
 
 

@@ -116,6 +116,17 @@ class DayRecord:
         return labels[self.key]
 
 
+def format_day_key(key: tuple[str, str]) -> str:
+    """A day key (consumer_id, ISO date) as its "consumer|date" text in JSON files."""
+    consumer, day = key
+    return f"{consumer}|{day}"
+
+
+def parse_day_key(text: str) -> tuple[str, ...]:
+    """The day key that format_day_key wrote as text."""
+    return tuple(text.split("|", 1))
+
+
 @dataclass(frozen=True)
 class LabeledRecord:
     day: DayRecord

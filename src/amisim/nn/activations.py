@@ -2,13 +2,14 @@
 
 All functions take and return float64 numpy arrays. softmax normalizes the
 last axis and subtracts the row max first so huge logits cannot overflow.
+ACTIVATIONS is the one table of kinds: kind -> (forward, backward), where
+forward(x) is the output and backward(x, out, dout) the gradient with
+respect to x given the input x, output out and output gradient dout.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-ACTIVATION_KINDS = ("relu", "elu", "sigmoid", "tanh", "softmax")
 
 
 def relu(x):
@@ -16,19 +17,18 @@ def relu(x):
 
 
 def elu(x):
-    out = np.array(x, dtype=np.float64, copy=True)
-    neg = x < 0
-    out[neg] = np.expm1(x[neg])
-    return out
+    # minimum(x, 0) keeps expm1 from overflowing on the discarded branch and
+    # is x itself where x < 0.
+    return np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
+    # exp(-x) where x >= 0 and exp(x) elsewhere, so neither branch can
+    # overflow. Not exp(-abs(x)): negating flips a NaN's sign bit.
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
 
 
 def tanh(x):
@@ -41,32 +41,15 @@ def softmax(v):
     return ev / ev.sum(axis=-1, keepdims=True)
 
 
-def apply_activation(kind: str, x):
-    if kind == "relu":
-        return relu(x)
-    if kind == "elu":
-        return elu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return tanh(x)
-    if kind == "softmax":
-        return softmax(x)
-    raise ValueError(f"unknown activation {kind!r}")
+def _softmax_backward(x, out, dout):
+    inner = (dout * out).sum(axis=-1, keepdims=True)
+    return out * (dout - inner)
 
 
-def activation_backward(kind: str, out, x, dout):
-    """Gradient through an activation given its input x and output out."""
-    if kind == "relu":
-        return dout * (x > 0)
-    if kind == "elu":
-        grad = np.where(x > 0, 1.0, out + 1.0)
-        return dout * grad
-    if kind == "sigmoid":
-        return dout * out * (1.0 - out)
-    if kind == "tanh":
-        return dout * (1.0 - out * out)
-    if kind == "softmax":
-        inner = (dout * out).sum(axis=-1, keepdims=True)
-        return out * (dout - inner)
-    raise ValueError(f"unknown activation {kind!r}")
+ACTIVATIONS = {
+    "relu": (relu, lambda x, out, dout: dout * (x > 0)),
+    "elu": (elu, lambda x, out, dout: dout * np.where(x > 0, 1.0, out + 1.0)),
+    "sigmoid": (sigmoid, lambda x, out, dout: dout * out * (1.0 - out)),
+    "tanh": (tanh, lambda x, out, dout: dout * (1.0 - out * out)),
+    "softmax": (softmax, _softmax_backward),
+}

@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from amisim.errors import DataFormatError
-from amisim.nn.model import ModelSpec, Params, init_params
+from amisim.nn.model import ModelSpec, Params, weight_shapes
 
 MAGIC = b"AMNN"
 FORMAT_VERSION = 2
@@ -80,14 +80,14 @@ def load_params(path, spec: ModelSpec) -> Params:
                 layer[key] = data.reshape(shape).copy()
             weights.append(layer)
 
-    template = init_params(spec, seed=0)
-    if len(weights) != len(template.weights):
+    expected = weight_shapes(spec)
+    if len(weights) != len(expected):
         raise DataFormatError(f"{path}: layer count mismatch")
-    for layer_got, layer_want in zip(weights, template.weights):
+    for layer_got, layer_want in zip(weights, expected):
         if set(layer_got) != set(layer_want):
             raise DataFormatError(f"{path}: parameter names mismatch")
-        for key in layer_want:
-            if layer_got[key].shape != layer_want[key].shape:
+        for key, shape in layer_want.items():
+            if layer_got[key].shape != shape:
                 raise DataFormatError(f"{path}: shape mismatch for {key}")
     return Params(spec_hash=spec_hash, weights=weights)
 

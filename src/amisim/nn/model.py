@@ -11,16 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from amisim.errors import ConfigError, DataFormatError, DimensionError
-from amisim.nn.activations import (
-    ACTIVATION_KINDS,
-    activation_backward,
-    apply_activation,
-    sigmoid,
-)
+from amisim.nn.activations import ACTIVATIONS, sigmoid
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,7 @@ class Activation:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ACTIVATION_KINDS:
+        if self.kind not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.kind!r}")
 
 
@@ -112,27 +108,21 @@ def infer_shapes(spec: ModelSpec):
     cur = shapes[0]
     for i, layer in enumerate(spec.layers):
         name = f"layer {i} ({type(layer).__name__})"
+        if isinstance(layer, (Conv1D, MaxPool1D, GRULayer, Flatten)) and cur[0] != "seq":
+            raise DimensionError(f"{name}: needs sequence input, got {cur}")
         if isinstance(layer, Conv1D):
-            if cur[0] != "seq":
-                raise DimensionError(f"{name}: needs sequence input, got {cur}")
             out_len = (cur[1] - layer.kernel_size) // layer.stride + 1
             if layer.kernel_size > cur[1]:
                 raise DimensionError(f"{name}: kernel {layer.kernel_size} > length {cur[1]}")
             cur = ("seq", out_len, layer.filters)
         elif isinstance(layer, MaxPool1D):
-            if cur[0] != "seq":
-                raise DimensionError(f"{name}: needs sequence input, got {cur}")
             out_len = cur[1] // layer.pool_size
             if out_len < 1:
                 raise DimensionError(f"{name}: pool {layer.pool_size} > length {cur[1]}")
             cur = ("seq", out_len, cur[2])
         elif isinstance(layer, GRULayer):
-            if cur[0] != "seq":
-                raise DimensionError(f"{name}: needs sequence input, got {cur}")
             cur = ("flat", layer.units)
         elif isinstance(layer, Flatten):
-            if cur[0] != "seq":
-                raise DimensionError(f"{name}: needs sequence input, got {cur}")
             cur = ("flat", cur[1] * cur[2])
         elif isinstance(layer, Dense):
             if cur[0] != "flat":
@@ -160,7 +150,33 @@ class Params:
         ]
 
 
-def _glorot(rng, fan_in, fan_out, shape):
+def weight_shapes(spec: ModelSpec) -> list[dict[str, tuple[int, ...]]]:
+    """Per layer, the name and shape of each trainable array, in init order.
+
+    Weights are named W (Dense, Conv1D) or Wz, Wr, Wh (GRU gates), each
+    followed by its bias (b, bz, br, bh). A weight's last two axes are
+    (inputs, outputs).
+    """
+    table = []
+    for layer, before in zip(spec.layers, infer_shapes(spec)):
+        if isinstance(layer, Dense):
+            w = {"W": (before[1], layer.units)}
+        elif isinstance(layer, Conv1D):
+            w = {"W": (layer.kernel_size, before[2], layer.filters)}
+        elif isinstance(layer, GRULayer):
+            w = {f"W{gate}": (before[2] + layer.units, layer.units) for gate in "zrh"}
+        else:
+            w = {}
+        # Each weight, then its bias: one value per output.
+        table.append({k: v for name, shape in w.items()
+                      for k, v in ((name, shape), ("b" + name[1:], shape[-1:]))})
+    return table
+
+
+def _glorot(rng, shape):
+    """Glorot-uniform draw; a Conv1D kernel's fans count every tap."""
+    fan_in = prod(shape[:-1])
+    fan_out = prod(shape) // shape[-2]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
@@ -168,30 +184,11 @@ def _glorot(rng, fan_in, fan_out, shape):
 def init_params(spec: ModelSpec, seed: int) -> Params:
     """Seeded Glorot-uniform weights and zero biases."""
     rng = np.random.default_rng(seed)
-    shapes = infer_shapes(spec)
-    weights: list[dict[str, np.ndarray]] = []
-    for i, layer in enumerate(spec.layers):
-        before = shapes[i]
-        entry: dict[str, np.ndarray] = {}
-        if isinstance(layer, Dense):
-            fan_in = before[1]
-            entry["W"] = _glorot(rng, fan_in, layer.units, (fan_in, layer.units))
-            entry["b"] = np.zeros(layer.units)
-        elif isinstance(layer, Conv1D):
-            c_in = before[2]
-            fan_in = layer.kernel_size * c_in
-            fan_out = layer.kernel_size * layer.filters
-            entry["W"] = _glorot(
-                rng, fan_in, fan_out, (layer.kernel_size, c_in, layer.filters)
-            )
-            entry["b"] = np.zeros(layer.filters)
-        elif isinstance(layer, GRULayer):
-            c_in = before[2]
-            u = layer.units
-            for gate in ("z", "r", "h"):
-                entry[f"W{gate}"] = _glorot(rng, c_in + u, u, (c_in + u, u))
-                entry[f"b{gate}"] = np.zeros(u)
-        weights.append(entry)
+    weights = [
+        {key: _glorot(rng, shape) if key.startswith("W") else np.zeros(shape)
+         for key, shape in entry.items()}
+        for entry in weight_shapes(spec)
+    ]
     return Params(spec_hash=spec.hash(), weights=weights)
 
 
@@ -258,9 +255,7 @@ def _layer_forward(layer: LayerSpec, w: dict[str, np.ndarray], x):
         b_, l, c = x.shape
         l_out = l // p
         trimmed = x[:, : l_out * p, :].reshape(b_, l_out, p, c)
-        idx = np.argmax(trimmed, axis=2)
-        out = np.take_along_axis(trimmed, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        return out, ("pool", x.shape, idx)
+        return trimmed.max(axis=2), ("pool", x.shape, trimmed)
     if isinstance(layer, GRULayer):
         b_, t_steps, _ = x.shape
         h = np.zeros((b_, layer.units))
@@ -271,7 +266,7 @@ def _layer_forward(layer: LayerSpec, w: dict[str, np.ndarray], x):
         return h, ("gru", x.shape, steps)
     if isinstance(layer, Flatten):
         return x.reshape(x.shape[0], -1), ("flatten", x.shape)
-    out = apply_activation(layer.kind, x)
+    out = ACTIVATIONS[layer.kind][0](x)
     return out, ("act", x, out)
 
 
@@ -406,41 +401,30 @@ def backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0)
     else:
         p = np.clip(out, clamp, 1.0 - clamp)
         dx = (-(y / p) + (1.0 - y) / (1.0 - p)) / batch
-    grads = params.zero_like_weights()
+    grads: list[dict[str, np.ndarray]] = [{} for _ in spec.layers]
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         w = params.weights[i]
         cache = caches[i]
         if isinstance(layer, Dense):
-            x_in = cache[1]
-            grads[i]["W"] = x_in.T @ dx
-            grads[i]["b"] = dx.sum(axis=0)
+            grads[i] = {"W": cache[1].T @ dx, "b": dx.sum(axis=0)}
             dx = dx @ w["W"].T
         elif isinstance(layer, Conv1D):
             _, x_shape, flat = cache
-            b_, l_in, c = x_shape
-            f = layer.filters
-            k = layer.kernel_size
-            s = layer.stride
-            l_out = (l_in - k) // s + 1
-            dout2 = dx.reshape(b_ * l_out, f)
-            grads[i]["W"] = (flat.T @ dout2).reshape(k, c, f)
-            grads[i]["b"] = dout2.sum(axis=0)
-            dx_full = np.zeros((b_, l_in, c))
-            dy = dx.reshape(b_, l_out, f)
-            for kk in range(k):
-                dx_full[:, kk : kk + s * l_out : s, :] += dy @ w["W"][kk].T
-            dx = dx_full
+            dy, dx = dx, np.zeros(x_shape)  # dy: (batch, l_out, filters)
+            dout2 = dy.reshape(-1, layer.filters)
+            grads[i] = {"W": (flat.T @ dout2).reshape(w["W"].shape), "b": dout2.sum(axis=0)}
+            s, l_out = layer.stride, dy.shape[1]
+            for kk in range(layer.kernel_size):
+                dx[:, kk : kk + s * l_out : s, :] += dy @ w["W"][kk].T
         elif isinstance(layer, MaxPool1D):
-            _, x_shape, idx = cache
-            b_, l, c = x_shape
-            p = layer.pool_size
-            l_out = l // p
-            d4 = np.zeros((b_, l_out, p, c))
-            np.put_along_axis(d4, idx[:, :, None, :], dx[:, :, None, :], axis=2)
-            dx_full = np.zeros((b_, l, c))
-            dx_full[:, : l_out * p, :] = d4.reshape(b_, l_out * p, c)
-            dx = dx_full
+            # argmax picks the first of tied maxima, which takes the gradient.
+            _, x_shape, trimmed = cache
+            b_, l_out, p, c = trimmed.shape
+            d4 = np.zeros(trimmed.shape)
+            np.put_along_axis(d4, np.argmax(trimmed, axis=2)[:, :, None], dx[:, :, None], axis=2)
+            dx = np.zeros(x_shape)
+            dx[:, : l_out * p] = d4.reshape(b_, l_out * p, c)
         elif isinstance(layer, GRULayer):
             _, x_shape, steps = cache
             dx = _gru_backward(w, steps, dx, x_shape, grads[i])
@@ -448,7 +432,7 @@ def backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0)
             dx = dx.reshape(cache[1])
         elif isinstance(layer, Activation):
             _, x_in, out = cache
-            dx = activation_backward(layer.kind, out, x_in, dx)
+            dx = ACTIVATIONS[layer.kind][1](x_in, out, dx)
     if l2_lambda:
         for i, w in enumerate(params.weights):
             for key, arr in w.items():
@@ -459,11 +443,7 @@ def backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0)
 
 def _gru_backward(w, steps, dh, x_shape, grad):
     b_, t_steps, c = x_shape
-    u = w["bz"].shape[0]
-    for name in ("Wz", "Wr", "Wh"):
-        grad[name] = np.zeros_like(w[name])
-    for name in ("bz", "br", "bh"):
-        grad[name] = np.zeros_like(w[name])
+    grad.update({name: np.zeros_like(arr) for name, arr in w.items()})
     dx_seq = np.zeros((b_, t_steps, c))
     for t in range(t_steps - 1, -1, -1):
         x_t, h_prev, z, r, h_cand = steps[t]

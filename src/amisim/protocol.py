@@ -36,7 +36,7 @@ from amisim.crypto import (
     verify_single,
 )
 from amisim.crypto.signatures import SigKeypair, Signature
-from amisim.data.traces import ConsumptionTrace, PresenceLabel, resample
+from amisim.data.traces import ConsumptionTrace, PresenceLabel, format_day_key, resample
 from amisim.defense import DefenseBundle, defense_decide, simulate_corpus  # noqa: F401
 from amisim.errors import (
     ConfigError,
@@ -312,8 +312,8 @@ class SimulationReport:
             "recovered_encoded": self.recovered_encoded,
             "expected_encoded": self.expected_encoded,
             "attacker_view": {
-                f"{sm}|{date}": [int(b) for b in bits]
-                for (sm, date), bits in sorted(self.attacker_view.items())
+                format_day_key(key): [int(b) for b in bits]
+                for key, bits in sorted(self.attacker_view.items())
             },
         }
 

@@ -28,6 +28,30 @@ def test_sigmoid_tanh_ranges():
     assert np.isfinite(sigmoid(np.array([-1000.0, 1000.0]))).all()
 
 
+def _sigmoid_two_branch(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _elu_two_branch(x):
+    out = x.copy()
+    neg = x < 0
+    out[neg] = np.expm1(x[neg])
+    return out
+
+
+def test_sigmoid_and_elu_equal_two_branch_definitions_bitwise():
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0]
+    x = np.concatenate([special, np.random.default_rng(5).standard_normal(2000) * 50])
+    with np.errstate(all="raise", under="ignore"):  # exp(-745) is subnormal
+        assert sigmoid(x).tobytes() == _sigmoid_two_branch(x).tobytes()
+        assert elu(x).tobytes() == _elu_two_branch(x).tobytes()
+
+
 def test_softmax_uniform():
     out = softmax(np.array([0.0, 0.0]))
     assert np.allclose(out, [0.5, 0.5])

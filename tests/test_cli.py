@@ -162,6 +162,22 @@ def test_eval_empty_test_split_fails(corpus_files, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("truth_labels", [True, False])
+def test_prep_refuses_corpus_without_test_day(tmp_path, capsys, truth_labels):
+    # Two whole days per consumer: round(0.8 x 2) = 2 go to train.
+    traces, truth = tmp_path / "traces.csv", tmp_path / "truth.json"
+    assert main([
+        "synth", "--consumers", "2", "--days", "2", "--seed", "1",
+        "--out", str(traces), "--truth", str(truth),
+    ]) == 0
+    labeled = tmp_path / "labeled.jsonl"
+    argv = ["prep", "--traces", str(traces), "--rate", "per30min", "--out", str(labeled)]
+    capsys.readouterr()
+    assert main(argv + (["--truth", str(truth)] if truth_labels else [])) == 3
+    assert "empty test split" in capsys.readouterr().err
+    assert not labeled.exists()
+
+
 def _untrained_attacker(corpus_files, tmp_path):
     """A per30min prep output and a 0-epoch attacker params file for it."""
     traces, truth = corpus_files

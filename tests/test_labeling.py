@@ -14,6 +14,7 @@ from amisim.data import (
     periods_score,
     resample,
     save_labeled_jsonl,
+    split_days,
     synthesize,
 )
 from amisim.errors import DegenerateDayError
@@ -89,6 +90,20 @@ def test_label_days_split_fraction_and_determinism():
         recs = [r for r in ds1.records if r.day.consumer_id == trace.consumer_id]
         n_train = sum(r.split is Split.TRAIN for r in recs)
         assert abs(n_train - 0.8 * len(recs)) <= 1.0
+
+
+def test_split_days_rule():
+    for n in range(1, 8):
+        rng = np.random.default_rng(n)
+        splits = split_days(n, rng)
+        assert sum(s is Split.TRAIN for s in splits) == round(0.8 * n)
+        # One permutation of n is the only draw.
+        twin = np.random.default_rng(n)
+        order = twin.permutation(n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert {int(i) for i in order[: round(0.8 * n)]} == {
+            i for i, s in enumerate(splits) if s is Split.TRAIN
+        }
 
 
 def _engineered_trace(consumer, quiet_profile):

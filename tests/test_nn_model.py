@@ -14,6 +14,7 @@ from amisim.nn import (
     GRULayer,
     MaxPool1D,
     ModelSpec,
+    backward,
     forward,
     gru_step,
     infer_shapes,
@@ -73,6 +74,30 @@ def test_maxpool_definition():
     _, caches = forward(spec, params, x)
     pooled = caches[2][1].ravel()  # sigmoid input = flattened pool output
     assert list(pooled) == [3.0, 5.0]
+
+
+def test_maxpool_tie_sends_gradient_to_first_maximum():
+    # A 1-tap conv copies channel 0 ([2, 2, 1, 2]: three tied maxima) and
+    # ignores channel 1, whose distinct values show in the conv weight
+    # gradient which position the pool routed the gradient to.
+    spec = ModelSpec(
+        input_length=4,
+        input_channels=2,
+        layers=(Conv1D(filters=1, kernel_size=1), MaxPool1D(pool_size=4),
+                Flatten(), Activation("sigmoid")),
+        output_classes=1,
+    )
+    params = init_params(spec, seed=0)
+    params.weights[0]["W"][:] = [[[1.0], [0.0]]]
+    params.weights[0]["b"][:] = 0.0
+    x = np.array([[2.0, 1.0], [2.0, 10.0], [1.0, 100.0], [2.0, 1000.0]])[None]
+    _, caches = forward(spec, params, x)
+    assert caches[3][1].tolist() == [[2.0]]  # the pooled value
+    grads = backward(spec, params, caches, np.zeros((1, 1)))
+    g = grads[0]["b"][0]  # the gradient reaching the pool output
+    assert g != 0.0
+    assert grads[0]["W"][0, 0, 0] == 2.0 * g
+    assert grads[0]["W"][0, 1, 0] == 1.0 * g  # channel 1 at position 0
 
 
 def test_conv_and_pool_output_lengths():
@@ -187,6 +212,25 @@ def test_params_serialize_round_trip_bit_exact(tmp_path):
     # Weights only: no optimiser state rides along.
     n_weights = sum(arr.size for layer in params.weights for arr in layer.values())
     assert path.stat().st_size <= 8 * n_weights + 1024
+
+
+def test_params_load_draws_no_weights(tmp_path, monkeypatch):
+    import amisim.nn.model
+
+    spec = build_defense("per30min")
+    params = init_params(spec, seed=4)
+    path = tmp_path / "params.bin"
+    save_params(path, params)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_params drew initial weights")
+
+    monkeypatch.setattr(amisim.nn.model, "_glorot", no_draw)
+    loaded = load_params(path, spec)
+    for a, b in zip(params.weights, loaded.weights):
+        assert sorted(a) == sorted(b)
+        for key in a:
+            assert a[key].tobytes() == b[key].tobytes()
 
 
 def test_params_load_refuses_format_version_1(tmp_path):

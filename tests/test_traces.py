@@ -5,12 +5,21 @@ from amisim.data import (
     ConsumptionTrace,
     PresenceLabel,
     SyntheticConfig,
+    format_day_key,
     ingest_csv,
+    parse_day_key,
     resample,
     synthesize,
     write_traces_csv,
 )
 from amisim.errors import ConfigError, DataFormatError, ParseError
+
+
+def test_day_key_text_round_trip():
+    key = ("sm0001", "2016-01-02")
+    assert format_day_key(key) == "sm0001|2016-01-02"
+    assert parse_day_key(format_day_key(key)) == key
+    assert parse_day_key("a|b|c") == ("a", "b|c")  # the date never holds "|"
 
 
 def _write(tmp_path, text):
