@@ -36,7 +36,7 @@ def test_keygen_distinct_seeds():
 def test_keygen_deterministic():
     pk1, sk1 = paillier_keygen(bits=256, rng=random.Random(7))
     pk2, sk2 = paillier_keygen(bits=256, rng=random.Random(7))
-    assert pk1.n == pk2.n and sk1.lam == sk2.lam
+    assert pk1.n == pk2.n and (sk1.p, sk1.q) == (sk2.p, sk2.q)
 
 
 def test_keygen_rejects_tiny_keys():
@@ -108,6 +108,30 @@ def test_hom_add_fold_matches_integer_sum(keys):
     for v in values[1:]:
         acc = hom_add(acc, encrypt(pk, v, rng=rng), pk)
     assert decrypt(sk, pk, acc) == sum(values) % pk.n
+
+
+def test_crt_decrypt_equals_lambda_mu_formula(keys):
+    # The textbook decryption L(c^lambda mod n^2) mu mod n, with L(u) = (u - 1)/n.
+    pk, sk = keys
+    assert sk.p * sk.q == pk.n
+    lam = math.lcm(sk.p - 1, sk.q - 1)
+    mu = pow(lam, -1, pk.n)
+
+    def reference(c):
+        return (pow(c.value, lam, pk.n_sq) - 1) // pk.n * mu % pk.n
+
+    rng = random.Random(23)
+    plaintexts = [0, 1, pk.n - 1] + [rng.randrange(pk.n) for _ in range(20)]
+    ciphertexts = [encrypt(pk, m, rng=rng) for m in plaintexts]
+    acc = ciphertexts[0]
+    for c in ciphertexts[1:]:
+        acc = hom_add(acc, c, pk)
+        ciphertexts.append(acc)
+    for m, c in zip(plaintexts, ciphertexts):
+        assert decrypt(sk, pk, c) == m
+    for c in ciphertexts:
+        assert decrypt(sk, pk, c) == reference(c)
+    assert decrypt(sk, pk, acc) == sum(plaintexts) % pk.n
 
 
 def test_decrypt_rejects_bad_ciphertext(keys):

@@ -131,6 +131,68 @@ def test_bn254_serialization_round_trip(bn_suite):
         suite.g1_deserialize(bytes(bad))
 
 
+def test_bn254_final_exponentiation_equals_plain_power(bn_suite):
+    from amisim.crypto.bn254 import (
+        CURVE_ORDER,
+        FIELD_MODULUS as P,
+        final_exponentiation,
+        fq12_pow,
+        miller_loop,
+    )
+
+    final_exponent = (P**12 - 1) // CURVE_ORDER
+    rng = random.Random(21)
+    g1, g2 = bn_suite.g1_generator(), bn_suite.g2_generator()
+    inputs = [
+        miller_loop((rng.randrange(1, 2**64) * g2).point, (rng.randrange(1, 2**64) * g1).point)
+        for _ in range(5)
+    ]
+    inputs += [tuple(rng.randrange(P) for _ in range(12)) for _ in range(3)]
+    inputs.append((0,) * 12)
+    for f in inputs:
+        assert final_exponentiation(f) == fq12_pow(f, final_exponent)
+    assert final_exponentiation((0,) * 12) == (0,) * 12
+
+
+def _fq2_sqrt(a):
+    """A square root in Fp2 (p = 3 mod 4) through the norm, or None."""
+    from amisim.crypto.bn254 import FIELD_MODULUS as P, fq2_mul
+
+    a0, a1 = a
+    s = pow((a0 * a0 + a1 * a1) % P, (P + 1) // 4, P)
+    for delta in ((a0 + s) * pow(2, -1, P) % P, (a0 - s) * pow(2, -1, P) % P):
+        x0 = pow(delta, (P + 1) // 4, P)
+        if x0 * x0 % P == delta and x0:
+            root = (x0, a1 * pow(2 * x0, -1, P) % P)
+            return root if fq2_mul(root, root) == (a0 % P, a1 % P) else None
+    return None
+
+
+def test_bn254_g2_deserialize_rejects_points_outside_subgroup(bn_suite):
+    from amisim.crypto.bn254 import (
+        CURVE_ORDER,
+        FIELD_MODULUS as P,
+        TWIST_B,
+        _FQ2_OPS,
+        G2Point,
+        _pt_mul,
+        fq2_add,
+        fq2_mul,
+    )
+
+    x = (2, 1)
+    y = _fq2_sqrt(fq2_add(fq2_mul(fq2_mul(x, x), x), TWIST_B))
+    assert y is not None
+    pt = G2Point((x, y))
+    assert pt.on_curve()
+    assert _pt_mul(pt.point, CURVE_ORDER, _FQ2_OPS) is not None  # cofactor 2p - r
+    with pytest.raises(CryptoError, match="subgroup"):
+        bn_suite.g2_deserialize(bn_suite.g2_serialize(pt))
+    # The cofactor times it lies in the subgroup, so that point still decodes.
+    g2_pt = G2Point(_pt_mul(pt.point, 2 * P - CURVE_ORDER, _FQ2_OPS))
+    assert bn_suite.g2_deserialize(bn_suite.g2_serialize(g2_pt)) == g2_pt
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(CryptoError):
         make_suite("nope")

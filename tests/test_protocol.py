@@ -341,3 +341,54 @@ def test_run_simulation_deterministic():
     r2 = run_simulation(scenario)
     assert r1.recovered_encoded == r2.recovered_encoded
     assert r1.as_dict() == r2.as_dict()
+
+
+def test_bn254_protocol_run_exact_and_drops_forgeries():
+    from amisim.crypto import batch_verify, verify_single
+    from amisim.crypto.signatures import Signature
+
+    params, eu_sk, sm_keys, agg_key = kdc_setup(
+        SetupConfig(sm_count=3, paillier_bits=512, pairing_backend="bn254", seed=12)
+    )
+    assert params.suite.name == "bn254"
+    sms, agg, eu = _fresh_states(params, eu_sk, sm_keys, agg_key)
+    g1 = params.suite.g1_generator()
+    readings = {  # slot -> {meter: kWh}; a meter absent from a slot stays silent
+        0: {"sm0000": 1.5, "sm0001": 0.25, "sm0002": 3.0},
+        1: {"sm0000": 2.0, "sm0002": 0.75},
+        2: {"sm0000": 0.5, "sm0001": 4.25, "sm0002": 1.0},
+        3: {},
+    }
+    forged_slot, forged_meter = 2, "sm0001"
+    shadow = {}
+    for slot, sent in readings.items():
+        now = slot * SLOT_MS
+        msgs = []
+        for sm_id, kwh in sent.items():
+            msg = sm_report(params, sms[sm_id], kwh, None, CAT30, now, force=True)
+            if (slot, sm_id) == (forged_slot, forged_meter):
+                msg = ReadingMsg(msg.sender_id, msg.ciphertext, msg.ts_ms,
+                                 Signature(sigma=msg.sigma.sigma + g1))
+            else:
+                shadow[sm_id] = encode_reading(kwh)
+            msgs.append(msg)
+        total = eu_recover(params, eu, aggregator_collect(params, agg, msgs, now), now)
+        assert total.total_encoded == sum(shadow.values()), slot
+        stored = sum(decrypt(eu_sk, params.paillier_pk, c) for c in agg.store.values())
+        assert total.total_encoded == stored
+        if slot == forged_slot:
+            honest = [m for m in msgs if m.sender_id != forged_meter]
+    assert (agg.batch_fallbacks, agg.dropped_bad_sig, agg.dropped_stale) == (1, 1, 0)
+    assert shadow[forged_meter] == encode_reading(0.25)
+
+    # sigma_1 + d and sigma_2 - d: each fails alone, and their sum is honest.
+    delta = 5 * g1
+    items = [(m.sigma, params.sm_publics[m.sender_id], m.payload()) for m in honest]
+    assert batch_verify(items, params.suite)
+    (s1, y1, p1), (s2, y2, p2) = items
+    cancelling = [
+        (Signature(sigma=s1.sigma + delta), y1, p1),
+        (Signature(sigma=s2.sigma + (-delta)), y2, p2),
+    ]
+    assert not any(verify_single(*item, params.suite) for item in cancelling)
+    assert not batch_verify(cancelling, params.suite)
