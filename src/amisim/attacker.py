@@ -14,7 +14,7 @@ kept verbatim; conventional FPR/TPR drive the ROC sweep.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -302,12 +302,16 @@ def threeclass_sets(bundle: DefenseBundle, traces, presence, cat: CatConfig, *ke
     key set, sharing one undefended and one defended corpus schedule.
 
     Spoofing patterns are produced by running the known defense over the
-    absent days, exactly as a defense-aware attacker would.
+    absent days, exactly as a defense-aware attacker would. The defense
+    runs only over what _traces_for_days keeps for those days.
     """
     if bundle is None:
         raise ConfigError("defense params are required to build spoofing patterns")
     raw_patterns, _ = patterns_for_traces(traces, cat)
-    defended_patterns, _ = simulate_corpus(traces, presence, cat, bundle)
+    spoof_keys = {key for keys in key_sets for key in keys
+                  if presence[key] is not PresenceLabel.PRESENT}
+    cut = _traces_for_days(traces, presence, spoof_keys)
+    defended_patterns = simulate_corpus(cut, presence, cat, bundle)[0] if cut else {}
     out = []
     for keys in key_sets:
         present, absent_raw, spoofed = [], [], []
@@ -318,6 +322,24 @@ def threeclass_sets(bundle: DefenseBundle, traces, presence, cat: CatConfig, *ke
                 absent_raw.append(raw_patterns[key].bits)
                 spoofed.append(defended_patterns[key].bits)
         out.append((present, absent_raw, spoofed))
+    return out
+
+
+def _traces_for_days(traces, presence, keys):
+    """The traces that hold a day in keys, each cut after its last such day
+    or after its first present day, whichever comes later. A defended day
+    depends only on the days before it and on the memory seed taken from the
+    first present day, so the cut traces give those days the same schedule."""
+    out = []
+    for trace in traces:
+        days = trace.days()
+        read = [d for d, day in enumerate(days) if day.key in keys]
+        if not read:
+            continue
+        first_present = next((d for d, day in enumerate(days)
+                              if day.label_in(presence) is PresenceLabel.PRESENT), -1)
+        end = (max(read[-1], first_present) + 1) * slots_per_day(trace.granularity_minutes)
+        out.append(replace(trace, readings=trace.readings[:end]))
     return out
 
 

@@ -112,9 +112,10 @@ def schedule(traces: list[ConsumptionTrace], threshold_percent: float,
     DayRecord.key, equal to apply_cat chained day by day. Each slot of a
     consumers x slots array (short traces padded with NaN, which never sends)
     applies cat_decide to every consumer; with a policy, the slot's silent
-    rows on days presence labels absent then go to policy(s, rows, bits),
-    where bits is the schedule so far (columns before s are final) and a
-    true entry sends that row's current reading.
+    rows on days presence labels absent then go to policy(s, rows, bits,
+    absent), where bits is the schedule so far (columns before s are final),
+    absent is the consumers x slots mask of days labelled absent, and a true
+    entry sends that row's current reading.
     """
     days = [(i, slice(d * len(day.readings), (d + 1) * len(day.readings)), day)
             for i, trace in enumerate(traces) for d, day in enumerate(trace.days())]
@@ -126,7 +127,7 @@ def schedule(traces: list[ConsumptionTrace], threshold_percent: float,
         if policy is not None:
             absent[i, cols] = day.label_in(presence) is PresenceLabel.ABSENT
     bits = np.zeros(readings.shape, dtype=np.uint8)
-    values, absent = readings.tolist(), absent.tolist()  # Python floats, as apply_cat uses
+    values, absent_at = readings.tolist(), absent.tolist()  # Python floats, as apply_cat uses
     last: list[float | None] = [None] * len(traces)
     for s in range(width):
         silent = []
@@ -134,11 +135,11 @@ def schedule(traces: list[ConsumptionTrace], threshold_percent: float,
             if last[i] is None or cat_decide(row[s], last[i], threshold_percent):
                 bits[i, s] = 1
                 last[i] = row[s]
-            elif absent[i][s]:
+            elif absent_at[i][s]:
                 silent.append(i)
         if silent:
             rows = np.array(silent)
-            for i in rows[policy(s, rows, bits)]:
+            for i in rows[policy(s, rows, bits, absent)]:
                 bits[i, s] = 1
                 last[i] = values[i][s]
     # The utility holds each consumer's reading from its latest sending slot.

@@ -296,22 +296,37 @@ def simulate_corpus(
     """The defended transmission schedule of every consumer-day; returns
     (patterns, eu_views) keyed by (consumer_id, ISO date).
 
-    cat.schedule with the defense as its policy: each slot's windows go as
-    one batch through a BitWindowKernel built for this call, and every
-    memory starts from _bootstrap_bits (the first present day's change-only
-    pattern). The decisions equal simulate_day chained per consumer, the
-    reference that keeps calling forward. protocol.run_simulation encrypts
-    exactly these transmissions.
+    cat.schedule with the defense as its policy, and every memory starts
+    from _bootstrap_bits (the first present day's change-only pattern). The
+    BitWindowKernel built for this call reads a window's first span bits
+    only, so the decision at slot t reads no column from t - n + span on,
+    and columns before s decide every slot of s .. s + lag - 1, lag =
+    n - span + 1. The policy therefore runs such a block in one kernel
+    call, over every absent-labelled row of each slot, and answers the
+    block's later slots from it. The decisions equal simulate_day chained
+    per consumer, the reference that keeps calling forward.
+    protocol.run_simulation encrypts exactly these transmissions.
     """
     working = [resample(t, cat.granularity_minutes) for t in traces]
     n = bundle.n
     boot = np.array([_bootstrap_bits(t.days(), presence, cat, n) for t in working], np.uint8)
     predict = BitWindowKernel(bundle.spec, bundle.params)
+    lag = n - predict.span + 1
+    first, fire = 0, np.zeros((len(working), 0), dtype=bool)  # block start, its decisions
 
-    def spoof(s, rows, bits):
-        # The n decisions before slot s; until there are n, bootstrap bits lead.
-        windows = np.hstack([boot[rows, min(s, n) :], bits[rows, max(s - n, 0) : s]])
-        return np.argmax(predict(windows), axis=1) == 1
+    def spoof(s, rows, bits, absent):
+        nonlocal first, fire
+        if s >= first + fire.shape[1]:
+            first, need = s, absent[:, s : s + lag]
+            # The n decisions before each slot; until there are n, bootstrap
+            # bits lead. Columns from s on are not final, but no window
+            # holds them among its first span bits.
+            past = np.hstack([boot[:, min(s, n) :], bits[:, max(s - n, 0) : s + lag - 1]])
+            who, j = np.nonzero(need)
+            windows = np.lib.stride_tricks.sliding_window_view(past, n, axis=1)[who, j]
+            fire = np.zeros(need.shape, dtype=bool)
+            fire[who, j] = np.argmax(predict(windows), axis=1) == 1
+        return fire[rows, s - first]
 
     return schedule(working, cat.threshold_percent, presence, spoof)
 

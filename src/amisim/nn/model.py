@@ -287,6 +287,9 @@ class BitWindowKernel:
     2**w values. Those layers run once, through the same per-layer code as
     forward, over every w-bit pattern to fill a table; a call gathers table
     rows by cell index. An empty prefix makes each bit its own cell (w = 1).
+    The output reads only a window's first `span` bits, those of its
+    `cells` cells: (cells - 1) * stride + w. A pool that drops its input's
+    last positions leaves the window's last bits unread.
 
     A GRULayer right after the prefix has its input projection and biases
     folded into the table (Appleyard et al., 2016), so each recurrence step
@@ -318,6 +321,7 @@ class BitWindowKernel:
             count += 1
         self.width, self.stride = width, stride
         self.cells = infer_shapes(spec)[count][1]
+        self.span = (self.cells - 1) * stride + width
         self.place = 1 << np.arange(width)[::-1]
         patterns = (np.arange(1 << width)[:, None] >> np.arange(width)[::-1]) & 1
         table = patterns[:, :, None].astype(np.float64)

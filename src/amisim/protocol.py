@@ -333,8 +333,13 @@ def run_simulation(scenario: SimScenario) -> SimulationReport:
     """
     cat = scenario.cat
     working = [resample(t, cat.granularity_minutes) for t in scenario.traces]
-    if len({t.day_count for t in working}) != 1:
-        raise ConfigError("all traces must cover the same number of days")
+    # A slot adds one reading of each meter, so all traces must cover the same dates.
+    covers = {}  # (first date, days) -> the first trace covering them
+    for t in working:
+        covers.setdefault((t.start_date, t.day_count), t.consumer_id)
+    if len(covers) > 1:
+        raise ConfigError("all traces must cover the same dates, but " + " and ".join(
+            f"{c} covers {days} day(s) from {start}" for (start, days), c in covers.items()))
     plain_patterns, plain_views = patterns_for_traces(working, cat)
     if scenario.defense is None:
         patterns, views = plain_patterns, plain_views

@@ -336,3 +336,53 @@ def test_known_defense_rarely_flags_present_days_as_spoofing():
         config=default_attacker_config(seed=43, epochs=6),
     )
     assert kd.spoof_flag_rate_on_present <= 0.05
+
+
+def test_threeclass_sets_simulates_only_the_days_read(monkeypatch):
+    import amisim.attacker
+    from amisim.attacker import threeclass_sets
+    from amisim.cat import CatConfig, patterns_for_traces
+    from amisim.data import PresenceLabel, SyntheticConfig, synthesize
+    from amisim.defense import DefenseBundle, simulate_corpus
+
+    traces, _ = synthesize(SyntheticConfig(consumer_count=3, day_count=4, rng_seed=21))
+    dates = [day.date.isoformat() for day in traces[0].days()]
+    c0, c1, c2 = (t.consumer_id for t in traces)
+    p, a = PresenceLabel.PRESENT, PresenceLabel.ABSENT
+    days = {c0: [a, a, p, a], c1: [p, a, p, p], c2: [p, a, a, p]}
+    presence = {(c, d): label for c, labels in days.items() for d, label in zip(dates, labels)}
+    # c0's one absent key comes before its first present day, whose change-only
+    # pattern seeds the defense memory; c1's keys are all present.
+    keys = [(c0, dates[0]), (c1, dates[0]), (c1, dates[2]), (c1, dates[3]),
+            (c2, dates[2]), (c2, dates[3])]
+    present_only = [(c1, dates[0]), (c2, dates[3])]
+    cat = CatConfig(threshold_percent=10.0, granularity_minutes=30)
+    spec = build_defense("per30min")
+    bundle = DefenseBundle(spec=spec, params=init_params(spec, seed=3), n=spec.input_length)
+
+    raw, _ = patterns_for_traces(traces, cat)
+    defended, _ = simulate_corpus(traces, presence, cat, bundle)
+    expected = (
+        [raw[k].bits for k in keys if presence[k] is p],
+        [raw[k].bits for k in keys if presence[k] is a],
+        [defended[k].bits for k in keys if presence[k] is a],
+    )
+
+    simulated = []
+
+    def recording_simulate(cut, *args):
+        simulated.append([(t.consumer_id, t.day_count) for t in cut])
+        return simulate_corpus(cut, *args)
+
+    monkeypatch.setattr(amisim.attacker, "simulate_corpus", recording_simulate)
+    (got,) = threeclass_sets(bundle, traces, presence, cat, keys)
+    assert simulated == [[(c0, 3), (c2, 3)]]
+    for got_list, expected_list in zip(got, expected):
+        assert len(got_list) == len(expected_list)
+        for g, e in zip(got_list, expected_list):
+            assert np.array_equal(g, e)
+
+    simulated.clear()
+    (present, absent_raw, spoofed), = threeclass_sets(bundle, traces, presence, cat, present_only)
+    assert simulated == [] and absent_raw == [] and spoofed == []
+    assert len(present) == 2

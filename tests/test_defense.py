@@ -3,7 +3,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from amisim.cat import CatConfig, apply_cat
+from amisim.cat import CatConfig, apply_cat, patterns_for_traces, schedule
 from amisim.data import ConsumptionTrace, DayRecord, PresenceLabel, SyntheticConfig, synthesize
 from amisim.defense import (
     DefenseBundle,
@@ -19,7 +19,7 @@ from amisim.defense import (
     window_size,
 )
 from amisim.errors import ConfigError, ProtocolError
-from amisim.nn import TrainConfig, init_params
+from amisim.nn import BitWindowKernel, TrainConfig, init_params
 
 CAT5 = CatConfig(threshold_percent=10.0, granularity_minutes=5)
 
@@ -288,3 +288,62 @@ def test_suppression_bound_holds_with_defense_active():
                 if bits[t] == 0 and values[t] > 0:
                     err = abs(day.readings[t] - values[t]) / values[t]
                     assert err <= 0.10 + 1e-12
+
+
+def _simulate_day_chain(corpus, truth, cat, bundle):
+    """The defended patterns of simulate_day chained per consumer."""
+    from amisim.data import resample
+    from amisim.defense import _bootstrap_bits
+
+    patterns = {}
+    for trace in corpus:
+        days = resample(trace, cat.granularity_minutes).days()
+        state = DefenseState(bundle.n)
+        state.seed(_bootstrap_bits(days, truth, cat, bundle.n))
+        last = None
+        for day in days:
+            pattern, _, last = simulate_day(day, truth[day.key], cat, bundle, state, last)
+            patterns[day.key] = pattern.bits
+    return patterns
+
+
+@pytest.mark.parametrize("rate, minutes", [("per5min", 5), ("per30min", 30)])
+def test_simulate_corpus_decides_several_slots_per_kernel_call(monkeypatch, rate, minutes):
+    # The one-call-per-slot policy calls the kernel once per policy call;
+    # deciding lag slots (3 at per5min, 2 at per30min) per call must at
+    # least halve that, with the decisions of the simulate_day chain. Blocks
+    # of 2 slots cannot halve an odd count, hence the rounding up.
+    import amisim.defense
+
+    calls = {"kernel": 0, "policy": 0}
+
+    class CountingKernel(BitWindowKernel):
+        def __call__(self, windows):
+            calls["kernel"] += 1
+            return super().__call__(windows)
+
+    def counting_schedule(traces, threshold_percent, presence, policy):
+        def counted(*args):
+            calls["policy"] += 1
+            return policy(*args)
+
+        return schedule(traces, threshold_percent, presence, counted)
+
+    monkeypatch.setattr(amisim.defense, "BitWindowKernel", CountingKernel)
+    monkeypatch.setattr(amisim.defense, "schedule", counting_schedule)
+    traces, truth = synthesize(SyntheticConfig(consumer_count=3, day_count=2, rng_seed=21,
+                                               absence_probability=0.5))
+    spec = build_defense(rate)
+    bundle = DefenseBundle(spec=spec, params=init_params(spec, seed=3), n=spec.input_length)
+    cat = CatConfig(threshold_percent=10.0, granularity_minutes=minutes)
+    patterns, _ = simulate_corpus(traces, truth, cat, bundle)
+    assert 0 < calls["kernel"] <= (calls["policy"] + 1) // 2
+    chain = _simulate_day_chain(traces, truth, cat, bundle)
+    assert chain.keys() == patterns.keys()
+    for key, bits in chain.items():
+        assert np.array_equal(bits, patterns[key].bits), key
+    # The defense both fires and stays silent on the absent days.
+    raw, _ = patterns_for_traces(traces, cat)
+    absent = [k for k in chain if truth[k] is PresenceLabel.ABSENT]
+    assert 0 < sum(int(chain[k].sum() - raw[k].count()) for k in absent)
+    assert not all(chain[k].all() for k in absent)

@@ -327,3 +327,27 @@ def test_bit_window_kernel_table_sizes_and_input_checks():
         flat(np.full((1, 6), 0.5))
     with pytest.raises(DimensionError):
         flat(np.zeros((1, 7)))
+
+
+def test_bit_window_kernel_span():
+    spans = {name: BitWindowKernel(spec, init_params(spec, seed=0)).span
+             for name, spec in KERNEL_SPECS.items()}
+    # per5min pools 98 conv outputs by 4 and drops the last two; per30min
+    # pools 29 by 2 and drops one; Flatten -> Dense reads every bit.
+    assert spans == {"per5min": 98, "per30min": 34, "flatten-dense": 6}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_bit_window_kernel_ignores_bits_from_span_on(name, seed, data):
+    spec = KERNEL_SPECS[name]
+    kernel = BitWindowKernel(spec, init_params(spec, seed=seed))
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=spec.input_length,
+                              max_size=spec.input_length))
+    unread = spec.input_length - kernel.span
+    flips = data.draw(st.lists(st.booleans(), min_size=unread, max_size=unread))
+    window = np.array([bits], dtype=np.float64)
+    flipped = window.copy()
+    flipped[0, kernel.span :] = np.where(flips, 1 - window[0, kernel.span :], window[0, kernel.span :])
+    assert np.array_equal(kernel(flipped), kernel(window))

@@ -1,13 +1,18 @@
+import json
 import random
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from amisim.cat import CatConfig, patterns_for_traces
+from amisim.cli import main
 from amisim.crypto import decrypt, encode_reading
 from amisim.crypto.paillier import PaillierPrivateKey
-from amisim.data import PresenceLabel, SyntheticConfig, synthesize
-from amisim.errors import ProtocolError, StaleMessageError, VerificationError
+from amisim.data import (
+    ConsumptionTrace, PresenceLabel, SyntheticConfig, format_day_key, synthesize, write_traces_csv,
+)
+from amisim.errors import ConfigError, ProtocolError, StaleMessageError, VerificationError
 from amisim.protocol import (
     AggregatorState,
     EuState,
@@ -392,3 +397,36 @@ def test_bn254_protocol_run_exact_and_drops_forgeries():
     ]
     assert not any(verify_single(*item, params.suite) for item in cancelling)
     assert not batch_verify(cancelling, params.suite)
+
+
+def _shifted_pair():
+    """Two one-day 30-min traces, the second a day later than the first."""
+    start = date(2016, 1, 1)
+    traces = [
+        ConsumptionTrace(f"sm{i:04d}", start + timedelta(days=i), 30, np.linspace(0.1, 1.0, 48))
+        for i in range(2)
+    ]
+    presence = {day.key: PresenceLabel.PRESENT for t in traces for day in t.days()}
+    return traces, presence
+
+
+def test_run_simulation_refuses_traces_on_different_dates():
+    traces, presence = _shifted_pair()
+    scenario = SimScenario(traces=traces, presence=presence, cat=CAT30, paillier_bits=256)
+    with pytest.raises(ConfigError, match="sm0000 covers 1 day.* 2016-01-01 and "
+                                          "sm0001 covers 1 day.* 2016-01-02"):
+        run_simulation(scenario)
+
+
+def test_simulate_command_refuses_traces_on_different_dates(tmp_path, capsys):
+    traces, presence = _shifted_pair()
+    write_traces_csv(tmp_path / "traces.csv", traces)
+    (tmp_path / "truth.json").write_text(json.dumps(
+        {"labels": {format_day_key(k): v.value for k, v in presence.items()}}
+    ))
+    code = main(["simulate", "--traces", str(tmp_path / "traces.csv"),
+                 "--truth", str(tmp_path / "truth.json"), "--rate", "per30min",
+                 "--paillier-bits", "256", "--out", str(tmp_path / "sim.json")])
+    assert code == 2
+    assert "sm0001 covers 1 day(s) from 2016-01-02" in capsys.readouterr().err
+    assert not (tmp_path / "sim.json").exists()
