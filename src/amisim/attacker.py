@@ -140,15 +140,6 @@ def build_threeclass(rate: str) -> ModelSpec:
     )
 
 
-def default_attacker_config(seed: int = 0, epochs: int = DEFAULT_ATTACKER_EPOCHS):
-    return TrainConfig(
-        epochs=epochs,
-        batch_size=DEFAULT_ATTACKER_BATCH,
-        learning_rate=DEFAULT_ATTACKER_LR,
-        rng_seed=seed,
-    )
-
-
 def train_attacker(spec: ModelSpec, patterns, labels, config: TrainConfig):
     """Train on (patterns, 0/1 labels); warns past a 95/5 class imbalance."""
     labels = np.asarray(labels)
@@ -398,24 +389,3 @@ def evaluate_threeclass(
         spoof_flag_rate_on_present=float(on_present.mean()) if len(on_present) else 0.0,
     )
 
-
-def known_defense_attack(
-    bundle: DefenseBundle,
-    traces,
-    presence,
-    cat: CatConfig,
-    rate: str,
-    train_keys,
-    test_keys,
-    config: TrainConfig,
-) -> KnownDefenseReport:
-    """Train and evaluate the defense-aware 3-class attacker.
-
-    The attacker regenerates spoofing patterns by running the known defense
-    over the absent days, trains on {present, absent, spoofing}, and at test
-    time flags a day as unoccupied when it predicts absent OR spoofing.
-    train_keys/test_keys are (consumer_id, ISO date) partitions of the corpus.
-    """
-    tr, te = threeclass_sets(bundle, traces, presence, cat, train_keys, test_keys)
-    spec, params, _ = train_threeclass(rate, *tr, config=config)
-    return evaluate_threeclass(spec, params, *te)

@@ -69,7 +69,6 @@ from amisim.defense import (
     present_runs,
     subsample_windows,
     train_defense,
-    window_size,
 )
 from amisim.errors import AmisimError, ConfigError, CryptoError, DataFormatError
 from amisim.nn import TrainConfig, load_params, save_history_csv, save_params
@@ -200,9 +199,11 @@ def _dataset_patterns(dataset, patterns, split):
     return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.int64)
 
 
-def _threeclass_sets(args, dataset, split):
+def _threeclass_sets(args, dataset, patterns, split):
     """(present, raw absent, spoofed) patterns of one split, the spoofed ones
-    made by the known defense in --defense-params."""
+    made by the known defense in --defense-params. The raw patterns, made at
+    --threshold, must be the bits prep stored, or the attacker would learn
+    a different CAT threshold from the one the dataset was prepared at."""
     if not args.defense_params:
         raise ConfigError("the threeclass attacker needs --defense-params")
     bundle = _bundle_from(args)
@@ -210,6 +211,13 @@ def _threeclass_sets(args, dataset, split):
     labels = {r.day.key: r.label for r in dataset.records}
     keys = [r.day.key for r in dataset.records if r.split is split]
     (sets,) = threeclass_sets(bundle, traces, labels, _cat(args), keys)
+    present_first = sorted(keys, key=lambda key: labels[key] is not PresenceLabel.PRESENT)
+    for key, bits in zip(present_first, sets[0] + sets[1]):
+        if not np.array_equal(bits, patterns[key]):
+            raise ConfigError(
+                f"--threshold {args.threshold:g} gives other transmission bits than "
+                f"the dataset's for {format_day_key(key)}; pass prep's --threshold"
+            )
     return sets
 
 
@@ -243,13 +251,13 @@ def cmd_train(args) -> int:
         runs = present_runs(
             {k: v for k, v in patterns.items() if k in train_keys}, labels
         )
-        windows = build_window_dataset(runs, n=window_size(args.rate))
+        windows = build_window_dataset(runs, n=spec.input_length)
         windows = subsample_windows(
             windows, max_samples=args.max_windows, seed=args.seed, balance=True
         )
         params, history = train_defense(windows, spec, config)
     else:  # threeclass: regenerate spoofing patterns with the known defense
-        sets = _threeclass_sets(args, dataset, Split.TRAIN)
+        sets = _threeclass_sets(args, dataset, patterns, Split.TRAIN)
         _, params, history = train_threeclass(args.rate, *sets, config=config)
     save_params(args.out, params)
     if args.history:
@@ -261,7 +269,7 @@ def cmd_train(args) -> int:
 def _bundle_from(args) -> DefenseBundle:
     spec = build_defense(args.rate)
     params = load_params(args.defense_params, spec)
-    return DefenseBundle(spec=spec, params=params, n=window_size(args.rate))
+    return DefenseBundle(spec=spec, params=params, n=spec.input_length)
 
 
 def _attacker_view(path, dataset) -> dict:
@@ -293,7 +301,7 @@ def cmd_eval(args) -> int:
     if not test:
         raise DataFormatError("empty test split")
     if args.variant == "threeclass":
-        sets = _threeclass_sets(args, dataset, Split.TEST)
+        sets = _threeclass_sets(args, dataset, patterns, Split.TEST)
         spec = build_threeclass(args.rate)
         params = load_params(args.params, spec)
         report = evaluate_threeclass(spec, params, *sets).report

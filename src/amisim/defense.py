@@ -11,17 +11,14 @@ at the utility is untouched.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-from amisim.cat import (
-    CatConfig, EuView, TransmissionPattern, apply_cat, cat_decide, rate_minutes, schedule,
-)
-from amisim.data.traces import ConsumptionTrace, DayRecord, PresenceLabel, resample
-from amisim.errors import ConfigError, ProtocolError
+from amisim.cat import CatConfig, TransmissionPattern, apply_cat, rate_minutes, schedule
+from amisim.data.traces import ConsumptionTrace, PresenceLabel, resample
+from amisim.errors import ConfigError
 from amisim.nn import (
     Activation,
     BitWindowKernel,
@@ -37,6 +34,7 @@ from amisim.nn import (
 )
 
 
+# Not called by the program (it reads spec.input_length); perfbench calls it.
 def window_size(rate: str) -> int:
     """How many past transmission decisions the defense reads at a rate."""
     return build_defense(rate).input_length
@@ -160,6 +158,8 @@ def subsample_windows(dataset: WindowDataset, max_samples: int, seed: int, balan
     Balancing duplicates nothing: it caps the majority class at the
     minority count (or half the budget, whichever is smaller).
     """
+    if max_samples < 1:
+        raise ConfigError(f"window budget must be >= 1, got {max_samples}")
     if len(dataset.labels) <= max_samples and not balance:
         return dataset
     rng = np.random.default_rng(seed)
@@ -207,80 +207,14 @@ def train_defense(
     return train(spec, x, dataset.labels, config)
 
 
-# ---------------------------------------------------------------------------
-# Decision loop
-# ---------------------------------------------------------------------------
-
-class DefenseState:
-    """Ring buffer of the last n transmission decisions."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ConfigError("memory size must be >= 1")
-        self.n = n
-        self._bits: deque[int] = deque(maxlen=n)
-
-    def push(self, bit: int):
-        self._bits.append(1 if bit else 0)
-
-    def seed(self, bits):
-        """Pre-fill with a history; keeps only the trailing n bits."""
-        for b in np.asarray(bits).ravel()[-self.n :]:
-            self.push(int(b))
-
-    @property
-    def ready(self) -> bool:
-        return len(self._bits) == self.n
-
-    def window(self) -> np.ndarray:
-        if not self.ready:
-            raise ProtocolError(
-                f"defense memory holds {len(self._bits)}/{self.n} decisions"
-            )
-        return np.array(self._bits, dtype=np.float64)
-
-
-def defense_decide(state: DefenseState, bundle: DefenseBundle) -> int:
-    """Run the predictor on the memory window; 1 means send a redundant reading."""
+# The per-slot decision of the tests' reference loop; perfbench/spans.py
+# traces it as amisim.protocol.defense_decide.
+def defense_decide(state, bundle: DefenseBundle) -> int:
+    """Run the predictor on state.window(), the last bundle.n decisions as
+    floats; 1 means send a redundant reading."""
     window = state.window()
     out, _ = forward(bundle.spec, bundle.params, window[None, :, None])
     return int(np.argmax(out[0]))
-
-
-def simulate_day(
-    day: DayRecord,
-    presence: PresenceLabel,
-    cat: CatConfig,
-    bundle: DefenseBundle | None,
-    state: DefenseState | None,
-    last_reported: float | None,
-):
-    """One consumer-day under CAT plus (optionally) the spoofing defense.
-
-    Per slot: a change-triggered transmission always goes out; otherwise,
-    on an absent day with a defense attached, the predictor may fire a
-    redundant transmission of the current actual reading. Every decision
-    is pushed into the memory. Returns (pattern, eu_view, last_reported).
-    """
-    readings = day.readings
-    bits = np.zeros(len(readings), dtype=np.uint8)
-    values = np.empty(len(readings), dtype=np.float64)
-    last = last_reported
-    use_defense = (
-        bundle is not None and state is not None and presence is PresenceLabel.ABSENT
-    )
-    for t, current in enumerate(readings):
-        current = float(current)
-        transmit = last is None or cat_decide(current, last, cat.threshold_percent)
-        if not transmit and use_defense and defense_decide(state, bundle):
-            transmit = True
-        if transmit:
-            bits[t] = 1
-            last = current
-        values[t] = last
-        if state is not None:
-            state.push(int(bits[t]))
-    return TransmissionPattern(bits=bits), EuView(values=values), last
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +237,8 @@ def simulate_corpus(
     and columns before s decide every slot of s .. s + lag - 1, lag =
     n - span + 1. The policy therefore runs such a block in one kernel
     call, over every absent-labelled row of each slot, and answers the
-    block's later slots from it. The decisions equal simulate_day chained
-    per consumer, the reference that keeps calling forward.
+    block's later slots from it. The decisions equal those of the tests'
+    per-slot reference (tests/reference.py), which calls forward each slot.
     protocol.run_simulation encrypts exactly these transmissions.
     """
     working = [resample(t, cat.granularity_minutes) for t in traces]

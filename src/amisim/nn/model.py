@@ -202,18 +202,14 @@ def _conv_cols(x, kernel_size, stride):
     return np.ascontiguousarray(windows.transpose(0, 1, 3, 2))  # (B, L_out, K, C)
 
 
-def gru_step(weights: dict[str, np.ndarray], x_t, h_prev):
-    """One recurrence step; returns the next hidden state.
+def _gru_step_cached(weights, x_t, h_prev):
+    """One recurrence step; returns the next hidden state and the backward
+    cache.
 
     Update gate z and reset gate r are sigmoids of the joined [x, h] input;
     the candidate state uses the reset-scaled hidden state, and z blends the
     candidate into the carried state.
     """
-    h_t, _ = _gru_step_cached(weights, x_t, h_prev)
-    return h_t
-
-
-def _gru_step_cached(weights, x_t, h_prev):
     xh = np.concatenate([x_t, h_prev], axis=1)
     z = sigmoid(xh @ weights["Wz"] + weights["bz"])
     r = sigmoid(xh @ weights["Wr"] + weights["br"])

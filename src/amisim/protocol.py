@@ -29,6 +29,7 @@ from amisim.crypto import (
     decrypt,
     encode_reading,
     encrypt,
+    hom_add,
     make_suite,
     paillier_keygen,
     sig_keygen,
@@ -233,13 +234,12 @@ def aggregator_collect(
         raise ProtocolError(
             f"no stored ciphertext for {len(missing)} meters (bootstrap incomplete)"
         )
-    total = 1
-    n_sq = params.paillier_pk.n_sq
+    total = Ciphertext(value=1)  # the encryption of 0 with r = 1
     for sm_id in sorted(state.store):
-        total = (total * state.store[sm_id].value) % n_sq
-    payload = canonical_payload(total, now_ms)
+        total = hom_add(total, state.store[sm_id], params.paillier_pk)
+    payload = canonical_payload(total.value, now_ms)
     sigma = sign(state.keypair.x, payload, params.suite)
-    return AggMsg(ciphertext=total, ts_ms=now_ms, sigma=sigma)
+    return AggMsg(ciphertext=total.value, ts_ms=now_ms, sigma=sigma)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from amisim.attacker import (
+    DEFAULT_ATTACKER_BATCH,
+    DEFAULT_ATTACKER_LR,
     build_attacker,
-    default_attacker_config,
     evaluate,
-    known_defense_attack,
     train_attacker,
 )
 from amisim.cat import CatConfig, aggregate_error_cdf, apply_cat, cat_decide, efficiency, patterns_for_traces
@@ -48,8 +48,14 @@ from amisim.defense import (
 from amisim.errors import CryptoError
 from amisim.nn import TrainConfig
 from amisim.protocol import SimScenario, run_simulation
+from reference import known_defense_attack
 
 SEED = 42
+
+
+def _attacker_config(seed):
+    return TrainConfig(epochs=8, batch_size=DEFAULT_ATTACKER_BATCH,
+                       learning_rate=DEFAULT_ATTACKER_LR, rng_seed=seed)
 
 
 def _report(number: int, name: str, ok: bool, detail: str):
@@ -149,7 +155,7 @@ def chain():
     y_tr = np.array([ctx["labels"][k] for k in ctx["train_keys"]])
     aspec = build_attacker("per5min")
     aparams, _ = train_attacker(
-        aspec, x_tr, y_tr, default_attacker_config(seed=SEED, epochs=8)
+        aspec, x_tr, y_tr, _attacker_config(SEED)
     )
     out["attacker"] = (aspec, aparams)
     return out
@@ -431,7 +437,7 @@ def test_criterion_7_attack_efficacy(chain):
     shuffled = np.random.default_rng(SEED).permutation(y_tr)
     spec_c = build_attacker("per5min")
     params_c, _ = train_attacker(
-        spec_c, x_tr, shuffled, default_attacker_config(seed=SEED, epochs=8)
+        spec_c, x_tr, shuffled, _attacker_config(SEED)
     )
     from amisim.nn import predict_proba
 
@@ -469,7 +475,7 @@ def test_criterion_8_defense_efficacy(chain):
         "per5min",
         ctx["train_keys"],
         ctx["test_keys"],
-        config=default_attacker_config(seed=SEED + 1, epochs=8),
+        config=_attacker_config(SEED + 1),
     )
     sr_kd = kd.report.sr
     chain["known_defense"] = kd

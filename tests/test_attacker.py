@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from amisim.attacker import (
+    DEFAULT_ATTACKER_BATCH,
+    DEFAULT_ATTACKER_LR,
     EvalReport,
     build_attacker,
     build_threeclass,
     confusion_matrix,
-    default_attacker_config,
     evaluate,
     evaluate_threeclass,
     roc_curve,
@@ -24,6 +25,7 @@ from amisim.nn import (
     Flatten,
     GRULayer,
     ModelSpec,
+    TrainConfig,
     init_params,
 )
 
@@ -240,13 +242,15 @@ def test_train_attacker_imbalance_warning():
     y[0] = 1
     spec = build_attacker("per30min")
     with pytest.warns(UserWarning, match="imbalance"):
-        train_attacker(spec, x, y, default_attacker_config(seed=0, epochs=0))
+        train_attacker(spec, x, y, TrainConfig(epochs=0, batch_size=DEFAULT_ATTACKER_BATCH,
+                                               learning_rate=DEFAULT_ATTACKER_LR, rng_seed=0))
 
 
 def test_train_attacker_deterministic():
     x, y = _pattern_corpus(n=32)
     spec = build_attacker("per30min")
-    cfg = default_attacker_config(seed=5, epochs=1)
+    cfg = TrainConfig(epochs=1, batch_size=DEFAULT_ATTACKER_BATCH,
+                      learning_rate=DEFAULT_ATTACKER_LR, rng_seed=5)
     p1, _ = train_attacker(spec, x, y, cfg)
     p2, _ = train_attacker(spec, x, y, cfg)
     for a, b in zip(p1.weights, p2.weights):
@@ -290,8 +294,7 @@ def test_known_defense_rarely_flags_present_days_as_spoofing():
         subsample_windows,
         train_defense,
     )
-    from amisim.attacker import known_defense_attack
-    from amisim.nn import TrainConfig
+    from reference import known_defense_attack
 
     config = SyntheticConfig(
         consumer_count=16,
@@ -333,7 +336,8 @@ def test_known_defense_rarely_flags_present_days_as_spoofing():
     bundle = DefenseBundle(spec=spec, params=params, n=100)
     kd = known_defense_attack(
         bundle, traces, truth, cat, "per5min", train_keys, test_keys,
-        config=default_attacker_config(seed=43, epochs=6),
+        config=TrainConfig(epochs=6, batch_size=DEFAULT_ATTACKER_BATCH,
+                           learning_rate=DEFAULT_ATTACKER_LR, rng_seed=43),
     )
     assert kd.spoof_flag_rate_on_present <= 0.05
 

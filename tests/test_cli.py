@@ -116,6 +116,49 @@ def test_bad_config_exits_2(corpus_files, tmp_path):
     ]) == 2
 
 
+def test_train_defense_negative_max_windows_exits_2(corpus_files, tmp_path, capsys):
+    traces, truth = corpus_files
+    labeled = str(tmp_path / "labeled.jsonl")
+    assert main([
+        "prep", "--traces", str(traces), "--rate", "per30min", "--seed", "7",
+        "--truth", str(truth), "--out", labeled,
+    ]) == 0
+    assert main([
+        "train", "--dataset", labeled, "--target", "defense", "--rate", "per30min",
+        "--epochs", "0", "--max-windows", "-3", "--out", str(tmp_path / "d.bin"),
+    ]) == 2
+    assert "window budget must be >= 1" in capsys.readouterr().err
+
+
+def test_threeclass_threshold_must_match_prep(tmp_path, capsys):
+    # The threeclass steps rebuild the undefended patterns at their own
+    # --threshold; at 10 % they differ from the bits prep stored at 5 %.
+    f = {name: str(tmp_path / name) for name in (
+        "traces.csv", "truth.json", "labeled.jsonl", "d.bin", "t.bin", "e.json")}
+    for argv in (
+        ["synth", "--consumers", "3", "--days", "4", "--seed", "1",
+         "--out", f["traces.csv"], "--truth", f["truth.json"]],
+        ["prep", "--traces", f["traces.csv"], "--rate", "per30min", "--truth", f["truth.json"],
+         "--threshold", "5", "--out", f["labeled.jsonl"]],
+        ["train", "--dataset", f["labeled.jsonl"], "--target", "defense", "--rate", "per30min",
+         "--epochs", "0", "--out", f["d.bin"]],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    threeclass = ["train", "--dataset", f["labeled.jsonl"], "--target", "threeclass",
+                  "--rate", "per30min", "--epochs", "0", "--defense-params", f["d.bin"],
+                  "--out", f["t.bin"]]
+    evaluate = ["eval", "--dataset", f["labeled.jsonl"], "--params", f["t.bin"],
+                "--rate", "per30min", "--variant", "threeclass", "--defense-params", f["d.bin"],
+                "--out", f["e.json"]]
+    for argv in (threeclass, evaluate):
+        assert main(argv + ["--threshold", "5"]) == 0, argv
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "--threshold 10 " in err and "sm000" in err, err
+
+
 def test_threeclass_eval_with_patterns_exits_2(corpus_files, tmp_path):
     # The threeclass attacker makes its own spoofed days, so --patterns would be ignored.
     traces, truth = corpus_files

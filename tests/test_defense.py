@@ -7,19 +7,18 @@ from amisim.cat import CatConfig, apply_cat, patterns_for_traces, schedule
 from amisim.data import ConsumptionTrace, DayRecord, PresenceLabel, SyntheticConfig, synthesize
 from amisim.defense import (
     DefenseBundle,
-    DefenseState,
     build_defense,
     build_window_dataset,
     defense_decide,
     present_runs,
     simulate_corpus,
-    simulate_day,
     subsample_windows,
     train_defense,
     window_size,
 )
 from amisim.errors import ConfigError, ProtocolError
 from amisim.nn import BitWindowKernel, TrainConfig, init_params
+from reference import DefenseState, simulate_day
 
 CAT5 = CatConfig(threshold_percent=10.0, granularity_minutes=5)
 
@@ -91,6 +90,16 @@ def test_subsample_windows_balance():
     sub = subsample_windows(ds, max_samples=200, seed=1, balance=True)
     assert len(sub.labels) == 200
     assert sub.labels.mean() == pytest.approx(0.5)
+
+
+def test_subsample_windows_rejects_an_empty_budget():
+    # A budget below 1 would slice permutations with a negative bound and keep
+    # all but a few windows of each class.
+    ds = build_window_dataset([np.tile([1, 1, 1, 0, 0], 20)], n=10)
+    for budget in (0, -3):
+        for balance in (True, False):
+            with pytest.raises(ConfigError, match="budget"):
+                subsample_windows(ds, max_samples=budget, seed=1, balance=balance)
 
 
 def test_defense_state_ring_buffer():
@@ -239,7 +248,7 @@ def test_simulate_corpus_matches_simulate_day_chain(monkeypatch):
         DefenseBundle(spec=per30, params=init_params(per30, seed=0), n=per30.input_length),
     ]
 
-    import amisim.defense
+    import reference
     from amisim.data import resample
     from amisim.defense import _bootstrap_bits
 
@@ -250,7 +259,7 @@ def test_simulate_corpus_matches_simulate_day_chain(monkeypatch):
         decisions.append(defense_decide(state, bundle))
         return decisions[-1]
 
-    monkeypatch.setattr(amisim.defense, "defense_decide", recording_decide)
+    monkeypatch.setattr(reference, "defense_decide", recording_decide)
     for bundle in bundles:
         for corpus in (traces, uneven):
             patterns, views = simulate_corpus(corpus, truth, CAT5, bundle=bundle)
