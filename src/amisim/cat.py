@@ -207,22 +207,17 @@ def aggregate_error_cdf(day_records, eu_views):
     for key, day in day_records.items():
         by_date.setdefault(key[1], []).append((day, eu_views[key]))
 
-    errors = []
-    skipped = 0
+    truth, held = [np.zeros(0)], [np.zeros(0)]  # concatenate needs one array
     for date_iso in sorted(by_date):
         pairs = by_date[date_iso]
-        truth = np.sum([np.asarray(d.readings) for d, _ in pairs], axis=0)
-        held = np.sum([np.asarray(v.values) for _, v in pairs], axis=0)
-        for t in range(len(truth)):
-            if truth[t] == 0.0:
-                skipped += 1
-                continue
-            errors.append((truth[t] - held[t]) / truth[t] * 100.0)
-
-    errors.sort()
-    n = len(errors)
-    cdf = [(float(e), (i + 1) / n) for i, e in enumerate(errors)]
-    return cdf, skipped
+        truth.append(np.sum([d.readings for d, _ in pairs], axis=0))
+        held.append(np.sum([v.values for _, v in pairs], axis=0))
+    truth, held = np.concatenate(truth), np.concatenate(held)
+    counted = truth != 0.0
+    errors = np.sort((truth - held)[counted] / truth[counted] * 100.0)
+    n = errors.size
+    cdf = list(zip(errors.tolist(), (np.arange(1, n + 1) / n).tolist()))
+    return cdf, truth.size - n
 
 
 def write_efficiency_csv(path, table: dict[tuple[int, float], float]):

@@ -222,12 +222,10 @@ def _threeclass_sets(args, dataset, patterns, split):
 
 
 def _load_dataset(path):
-    """A prep output's records and transmission bits; either missing is a data error."""
+    """A prep output's records and transmission bits; no records is a data error."""
     dataset, patterns = load_labeled_jsonl(path)
     if not dataset.records:
         raise DataFormatError(f"{path}: no records; rerun prep on a corpus with whole days")
-    if patterns is None:
-        raise DataFormatError(f"{path}: dataset lacks transmission bits; rerun prep")
     return dataset, patterns
 
 

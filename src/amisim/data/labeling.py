@@ -169,10 +169,10 @@ def transmission_bits(value, slots: int):
 
 
 def load_labeled_jsonl(path):
-    """Read a labeled dataset; returns (dataset, patterns-or-None)."""
+    """Read a labeled dataset; returns (dataset, patterns). Every record must
+    carry its transmission bits, as prep writes them."""
     records = []
     patterns: dict = {}
-    saw_bits = False
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -192,12 +192,10 @@ def load_labeled_jsonl(path):
                     label=PresenceLabel(obj["label"]),
                     split=Split(obj["split"]),
                 )
-                bits = transmission_bits(obj["bits"], day.readings.size) if "bits" in obj else None
+                bits = transmission_bits(obj["bits"], day.readings.size)
             except (KeyError, TypeError, ValueError, OverflowError, DataFormatError) as exc:
                 # JSONDecodeError is a ValueError; KeyError names a missing key.
                 raise ParseError(f"malformed record: {exc!r}", line=lineno) from exc
             records.append(record)
-            if bits is not None:
-                saw_bits = True
-                patterns[(obj["consumer"], obj["date"])] = bits
-    return LabeledDataset(records=tuple(records)), (patterns if saw_bits else None)
+            patterns[(obj["consumer"], obj["date"])] = bits
+    return LabeledDataset(records=tuple(records)), patterns

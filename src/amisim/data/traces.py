@@ -147,15 +147,10 @@ CSV_COLUMNS = ("consumer_id", "timestamp_iso8601", "kwh")
 
 
 def ingest_csv(path) -> list[ConsumptionTrace]:
-    """Read per-consumer traces from a long-format CSV.
-
-    Rows must be sorted by (consumer, timestamp) with a fixed slot width per
-    consumer. Missing slots are filled by carrying the previous reading
-    forward; leading/trailing partial days are dropped. Consumers left with
-    no complete day are omitted.
+    """Read per-consumer traces from a long-format CSV (README.md gives its rules):
+    gaps repeat the previous reading, and only whole days are kept.
     """
-    rows_by_consumer: dict[str, list[tuple[datetime, float]]] = {}
-    order: list[str] = []
+    rows_by_consumer: dict[str, tuple[list[datetime], list[float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -185,72 +180,43 @@ def ingest_csv(path) -> list[ConsumptionTrace]:
                 raise ParseError(f"bad kWh value {row[k_idx]!r}", lineno)
             if not math.isfinite(kwh) or kwh < 0:
                 raise ParseError(f"kWh must be finite and >= 0, got {row[k_idx]}", lineno)
-            if consumer not in rows_by_consumer:
-                rows_by_consumer[consumer] = []
-                order.append(consumer)
-            elif (ts.tzinfo is None) != (rows_by_consumer[consumer][0][0].tzinfo is None):
+            times, kwhs = rows_by_consumer.setdefault(consumer, ([], []))
+            if times and (ts.tzinfo is None) != (times[0].tzinfo is None):
                 raise ParseError(
                     f"consumer {consumer}: timestamps with and without a UTC offset", lineno
                 )
-            rows_by_consumer[consumer].append((ts, kwh))
-
-    traces = []
-    for consumer in order:
-        trace = _rows_to_trace(consumer, rows_by_consumer[consumer])
-        if trace is not None:
-            traces.append(trace)
-    return traces
+            times.append(ts)
+            kwhs.append(kwh)
+    traces = (_rows_to_trace(c, *rows) for c, rows in rows_by_consumer.items() if len(rows[0]) > 1)
+    return [trace for trace in traces if trace is not None]
 
 
-def _rows_to_trace(consumer: str, rows: list[tuple[datetime, float]]):
-    times = [t for t, _ in rows]
-    for a, b in zip(times, times[1:]):
-        if b <= a:
-            raise DataFormatError(f"consumer {consumer}: rows not sorted by timestamp")
-    if len(times) < 2:
-        return None
-
-    diffs = [int((b - a).total_seconds() // 60) for a, b in zip(times, times[1:])]
-    if any((b - a).total_seconds() % 60 for a, b in zip(times, times[1:])):
+def _rows_to_trace(consumer: str, times: list[datetime], kwhs: list[float]):
+    """Two or more rows of one consumer as its whole days, or None if it has none."""
+    gaps = np.array([b - a for a, b in zip(times, times[1:])], dtype="timedelta64[us]")
+    if np.any(gaps <= np.timedelta64(0)):
+        raise DataFormatError(f"consumer {consumer}: rows not sorted by timestamp")
+    steps, rest = np.divmod(gaps, np.timedelta64(1, "m"))
+    if rest.any():
         raise DataFormatError(f"consumer {consumer}: timestamps not minute-aligned")
-    gran = min(diffs)
+    gran = int(steps.min())
     if gran not in VALID_GRANULARITIES:
         raise DataFormatError(
-            f"consumer {consumer}: inferred granularity {gran} min not in "
-            f"{VALID_GRANULARITIES}"
+            f"consumer {consumer}: inferred granularity {gran} min not in {VALID_GRANULARITIES}"
         )
-    if any(d % gran for d in diffs):
+    if np.any(steps % gran):
         raise DataFormatError(f"consumer {consumer}: inconsistent slot widths")
-
-    # Forward-fill gaps: slots with no row repeat the last reported reading.
-    values: list[float] = []
-    for (_, kwh), d in zip(rows, diffs + [gran]):
-        values.append(kwh)
-        values.extend([kwh] * (d // gran - 1))
-    slot_times = []
-    t = times[0]
-    for _ in values:
-        slot_times.append(t)
-        t += timedelta(minutes=gran)
-
-    spd = slots_per_day(gran)
-    # Trim leading slots until midnight alignment.
-    start = 0
-    while start < len(slot_times) and (
-        slot_times[start].hour or slot_times[start].minute or slot_times[start].second
-    ):
-        start += 1
-    usable = len(values) - start
-    full_days = usable // spd
-    if full_days <= 0:
+    # A slot with no row repeats the last reading. Days are cut at midnight on
+    # the first row's wall clock; with non-zero seconds no slot starts there.
+    values = np.repeat(kwhs, np.append(steps // gran, 1))
+    t0, spd = times[0], slots_per_day(gran)
+    clock = t0.hour * 60 + t0.minute
+    start = (-clock % MINUTES_PER_DAY) // gran
+    full_days = (len(values) - start) // spd
+    if t0.second or clock % gran or full_days <= 0:
         return None
-    window = values[start : start + full_days * spd]
-    return ConsumptionTrace(
-        consumer_id=consumer,
-        start_date=slot_times[start].date(),
-        granularity_minutes=gran,
-        readings=np.array(window, dtype=np.float64),
-    )
+    start_date = (t0 + timedelta(minutes=start * gran)).date()
+    return ConsumptionTrace(consumer, start_date, gran, values[start : start + full_days * spd])
 
 
 def write_traces_csv(path, traces: list[ConsumptionTrace]):
@@ -259,12 +225,10 @@ def write_traces_csv(path, traces: list[ConsumptionTrace]):
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for trace in traces:
-            t0 = datetime.combine(trace.start_date, datetime.min.time())
-            step = timedelta(minutes=trace.granularity_minutes)
-            for i, kwh in enumerate(trace.readings):
-                writer.writerow(
-                    [trace.consumer_id, (t0 + i * step).isoformat(), f"{kwh:.9f}"]
-                )
+            minutes = trace.granularity_minutes * np.arange(len(trace.readings))
+            stamps = np.datetime_as_string(np.datetime64(trace.start_date, "m") + minutes, unit="s")
+            kwhs = ["%.9f" % kwh for kwh in trace.readings.tolist()]
+            writer.writerows(zip([trace.consumer_id] * len(kwhs), stamps, kwhs))
 
 
 # ---------------------------------------------------------------------------

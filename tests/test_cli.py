@@ -280,7 +280,7 @@ def test_corpus_without_whole_day_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing-key", "not-an-object", "no-readings",
-                                    "short-bits", "non-binary-bits"])
+                                    "short-bits", "non-binary-bits", "no-bits"])
 def test_train_malformed_dataset_line_exits_3(corpus_files, tmp_path, capsys, damage):
     traces, truth = corpus_files
     labeled = tmp_path / "labeled.jsonl"
@@ -306,6 +306,10 @@ def test_train_malformed_dataset_line_exits_3(corpus_files, tmp_path, capsys, da
     elif damage == "non-binary-bits":
         row = json.loads(lines[1])
         row["bits"][0] = 2
+        lines[1] = json.dumps(row)
+    elif damage == "no-bits":
+        row = json.loads(lines[1])
+        del row["bits"]
         lines[1] = json.dumps(row)
     else:
         lines[1] = "[1, 2, 3]"

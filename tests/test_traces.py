@@ -1,3 +1,5 @@
+from datetime import date, datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,85 @@ def test_ingest_inconsistent_granularity(tmp_path):
     )
     with pytest.raises(DataFormatError):
         ingest_csv(_write(tmp_path, text))
+
+
+def _stamps(first, step_minutes, count, offsets=None):
+    """ISO timestamps from first at a fixed step; offsets[i] (hours) sets row i's UTC offset."""
+    t0 = datetime.fromisoformat(first)
+    stamps = [t0 + timedelta(minutes=step_minutes * i) for i in range(count)]
+    if offsets:
+        stamps = [t.astimezone(timezone(timedelta(hours=h))) for t, h in zip(stamps, offsets)]
+    return [t.isoformat() for t in stamps]
+
+
+def _csv(stamps, header="consumer_id,timestamp_iso8601,kwh"):
+    rows = [f"a,{ts},{0.001 * (i % 7 + 1):.6f}" for i, ts in enumerate(stamps)]
+    return "\n".join([header] + rows) + "\n"
+
+
+# (CSV text, expected): a list of (consumer, start date, slot width, slots) per
+# trace, or the (exception type, message fragment) that ingest_csv raises.
+INGEST_CASES = {
+    "first-row-at-30-seconds": (_csv(_stamps("2016-01-01T00:00:30", 30, 144)), []),
+    "first-row-at-5-microseconds": (
+        _csv(_stamps("2016-01-01T00:00:00.000005", 30, 100)), [("a", "2016-01-01", 30, 96)]
+    ),
+    # Midnight on the first row's +01:00 clock; on the later +02:00 clock the
+    # first day would start at slot 46, on 2016-01-02.
+    "offset-changes-mid-trace": (
+        _csv(_stamps("2016-01-01T00:00:00+01:00", 30, 143, offsets=[1] * 48 + [2] * 95)),
+        [("a", "2016-01-01", 30, 96)],
+    ),
+    "unsorted-rows": (
+        _csv(_stamps("2016-01-01T00:05:00", 5, 1) + _stamps("2016-01-01T00:00:00", 5, 300)),
+        (DataFormatError, "not sorted"),
+    ),
+    "repeated-timestamp": (
+        _csv(_stamps("2016-01-01T00:00:00", 5, 3) + _stamps("2016-01-01T00:10:00", 5, 300)),
+        (DataFormatError, "not sorted"),
+    ),
+    "single-row": (_csv(["2016-01-01T00:00:00"]), []),
+    "7-minute-step": (
+        _csv(_stamps("2016-01-01T00:00:00", 7, 500)), (DataFormatError, "granularity 7 min")
+    ),
+    "step-with-30-seconds": (
+        _csv(_stamps("2016-01-01T00:00:00", 5.5, 500)), (DataFormatError, "not minute-aligned")
+    ),
+    "header-without-kwh": (
+        _csv(_stamps("2016-01-01T00:00:00", 30, 96), header="consumer_id,timestamp_iso8601,kw"),
+        (DataFormatError, "missing required columns"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INGEST_CASES))
+def test_ingest_table(tmp_path, case):
+    text, expected = INGEST_CASES[case]
+    path = _write(tmp_path, text)
+    if isinstance(expected, tuple):
+        error, fragment = expected
+        with pytest.raises(error, match=fragment):
+            ingest_csv(path)
+        return
+    traces = ingest_csv(path)
+    got = [(t.consumer_id, t.start_date.isoformat(), t.granularity_minutes, len(t.readings))
+           for t in traces]
+    assert got == expected
+
+
+@pytest.mark.parametrize("minutes", [1, 5, 30])
+def test_csv_round_trip_is_byte_identical(tmp_path, minutes):
+    config = SyntheticConfig(consumer_count=2, day_count=3, rng_seed=minutes,
+                             start_date=date(2016, 2, 28))
+    traces, _ = synthesize(config)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_traces_csv(first, [resample(t, minutes) for t in traces])
+    back = ingest_csv(first)
+    write_traces_csv(second, back)
+    assert [(t.consumer_id, t.start_date, t.day_count) for t in back] == [
+        ("sm0000", date(2016, 2, 28), 3), ("sm0001", date(2016, 2, 28), 3)
+    ]
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_csv_round_trip(tmp_path):
