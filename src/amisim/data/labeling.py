@@ -197,5 +197,5 @@ def load_labeled_jsonl(path):
                 # JSONDecodeError is a ValueError; KeyError names a missing key.
                 raise ParseError(f"malformed record: {exc!r}", line=lineno) from exc
             records.append(record)
-            patterns[(obj["consumer"], obj["date"])] = bits
+            patterns[day.key] = bits
     return LabeledDataset(records=tuple(records)), patterns

@@ -219,8 +219,8 @@ def _gru_step_cached(weights, x_t, h_prev):
     return h_t, (x_t, h_prev, z, r, h_cand)
 
 
-def forward(spec: ModelSpec, params: Params, batch):
-    """Run the network; returns (output, caches) with one cache per layer."""
+def _input_batch(spec: ModelSpec, batch):
+    """The batch as float64 (batch, length, channels), checked against spec."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 2:
         x = x[:, :, None]
@@ -229,6 +229,12 @@ def forward(spec: ModelSpec, params: Params, batch):
         raise DimensionError(
             f"input shape {x.shape[1:]} does not match spec {expected}"
         )
+    return x
+
+
+def forward(spec: ModelSpec, params: Params, batch):
+    """Run the network; returns (output, caches) with one cache per layer."""
+    x = _input_batch(spec, batch)
     caches = []
     for layer, w in zip(spec.layers, params.weights):
         x, cache = _layer_forward(layer, w, x)
@@ -267,38 +273,31 @@ def _layer_forward(layer: LayerSpec, w: dict[str, np.ndarray], x):
 
 
 # ---------------------------------------------------------------------------
-# Inference on binary windows
+# Binary windows: the prefix table
 # ---------------------------------------------------------------------------
 
 # Widest receptive field the prefix table may cover: 2**12 rows.
 TABLE_MAX_BITS = 12
 
 
-class BitWindowKernel:
-    """Inference for a single-channel network whose inputs are 0/1 windows.
+class BitPrefix:
+    """The leading layers of a single-channel network as a table over bit
+    patterns, for inputs that are 0/1 windows.
 
     The longest leading run of stride-1 Conv1D, Activation and MaxPool1D
     layers whose receptive field w stays within TABLE_MAX_BITS maps each
     output cell, a window of w input bits every `stride` bits, to one of
-    2**w values. Those layers run once, through the same per-layer code as
-    forward, over every w-bit pattern to fill a table; a call gathers table
-    rows by cell index. An empty prefix makes each bit its own cell (w = 1).
-    The output reads only a window's first `span` bits, those of its
-    `cells` cells: (cells - 1) * stride + w. A pool that drops its input's
-    last positions leaves the window's last bits unread.
-
-    A GRULayer right after the prefix has its input projection and biases
-    folded into the table (Appleyard et al., 2016), so each recurrence step
-    computes only h @ [Wz_h | Wr_h] and (r * h) @ Wh_h. Every later layer
-    runs through the forward code. Outputs match forward up to float64
-    rounding; the table is built from the given params and goes stale if
+    2**w values. Those `count` layers run once, through the same per-layer
+    code as forward, over every w-bit pattern; `table` holds the outputs
+    (2**w, channels) and `caches` their backward caches. An empty prefix
+    makes each bit its own cell (w = 1). The output reads only a window's
+    first `span` bits, those of its `cells` cells: (cells - 1) * stride + w.
+    A pool that drops its input's last positions leaves the window's last
+    bits unread. The table is built from the given params and goes stale if
     they change.
     """
 
     def __init__(self, spec: ModelSpec, params: Params):
-        if spec.input_channels != 1:
-            raise ConfigError("bit-window inference needs a single input channel")
-        self.input_length = spec.input_length
         width, stride, count = 1, 1, 0
         for layer in spec.layers:
             if isinstance(layer, Conv1D) and layer.stride == 1:
@@ -315,32 +314,154 @@ class BitWindowKernel:
             if isinstance(layer, MaxPool1D):
                 stride *= layer.pool_size
             count += 1
-        self.width, self.stride = width, stride
+        self.count, self.width, self.stride = count, width, stride
         self.cells = infer_shapes(spec)[count][1]
         self.span = (self.cells - 1) * stride + width
         self.place = 1 << np.arange(width)[::-1]
         patterns = (np.arange(1 << width)[:, None] >> np.arange(width)[::-1]) & 1
         table = patterns[:, :, None].astype(np.float64)
+        self.caches = []
         for layer, w in zip(spec.layers[:count], params.weights[:count]):
-            table, _ = _layer_forward(layer, w, table)
-        table = table[:, 0, :]  # (2**width, channels)
-        self.gru = None
-        rest = count
-        if count < len(spec.layers) and isinstance(spec.layers[count], GRULayer):
-            w = params.weights[count]
-            c = table.shape[1]
-            # The gates use sigmoid(v) = 0.5 * tanh(v / 2) + 0.5, one ufunc
-            # pass instead of sigmoid's two masked branches. The halving is
-            # applied to the z and r weights and biases up front; scaling by
-            # 0.5 is exact in binary floating point.
-            half = np.concatenate([np.full(2 * w["bz"].size, 0.5), np.ones(w["bh"].size)])
-            w_in = np.concatenate([w["Wz"][:c], w["Wr"][:c], w["Wh"][:c]], axis=1)
-            table = (table @ w_in + np.concatenate([w["bz"], w["br"], w["bh"]])) * half
-            w_zr = 0.5 * np.concatenate([w["Wz"][c:], w["Wr"][c:]], axis=1)
-            self.gru = (spec.layers[count].units, w_zr, w["Wh"][c:])
+            table, cache = _layer_forward(layer, w, table)
+            self.caches.append(cache)
+        self.table = table[:, 0, :]  # (2**width, channels)
+
+    def index(self, bits):
+        """Each cell's pattern number, (batch, cells), for (batch, length) bits."""
+        cells = np.lib.stride_tricks.sliding_window_view(
+            bits.astype(np.intp), self.width, axis=1
+        )[:, :: self.stride][:, : self.cells]
+        return cells @ self.place
+
+
+def _gru_split(w, c: int):
+    """A GRU layer's weights by what they multiply: the c input channels of
+    all three gates (c, 3 * units), the state in the update and reset gates
+    (units, 2 * units) and in the candidate (units, units); and the three
+    biases, joined in the same z, r, h order."""
+    w_in = np.concatenate([w["Wz"][:c], w["Wr"][:c], w["Wh"][:c]], axis=1)
+    w_zr = np.concatenate([w["Wz"][c:], w["Wr"][c:]], axis=1)
+    return w_in, w_zr, w["Wh"][c:], np.concatenate([w["bz"], w["br"], w["bh"]])
+
+
+def _fold_gru(w, table):
+    """The GRU's input projection and biases applied to every table row
+    (Appleyard et al., 2016); returns (folded table, state weights) for
+    _gru_scan.
+
+    The gates use sigmoid(v) = 0.5 * tanh(v / 2) + 0.5, one ufunc pass
+    instead of sigmoid's two masked branches. The halving is applied to the
+    z and r weights and biases up front; scaling by 0.5 is exact in binary
+    floating point.
+    """
+    w_in, w_zr, w_h, bias = _gru_split(w, table.shape[1])
+    half = np.concatenate([np.full(2 * w["bz"].size, 0.5), np.ones(w["bh"].size)])
+    return (table @ w_in + bias) * half, (0.5 * w_zr, w_h)
+
+
+def _gru_scan(folded, index, w_zr, w_h, keep: bool = False):
+    """A GRU from a zero state whose step-t input is the folded row
+    index[:, t]; each step computes only h @ w_zr and (r * h) @ w_h.
+
+    Returns the last state, or with keep the stacked steps for backward:
+    hs (cells + 1, batch, units), the states from the zero state on, and
+    gates (cells, batch, 3 * units), each step's update gate, reset gate and
+    candidate, written over the gathered inputs.
+    """
+    units = w_h.shape[0]
+    steps = folded[index.T]  # (cells, batch, 3 * units)
+    h = np.zeros((len(index), units))
+    hs = np.zeros((len(steps) + 1,) + h.shape) if keep else None
+    for t, a in enumerate(steps):
+        zr = np.tanh(a[:, : 2 * units] + h @ w_zr) * 0.5 + 0.5
+        z, r = zr[:, :units], zr[:, units:]
+        h_cand = np.tanh(a[:, 2 * units :] + (r * h) @ w_h)
+        h = (1.0 - z) * h + z * h_cand
+        if keep:
+            a[:, : 2 * units], a[:, 2 * units :], hs[t + 1] = zr, h_cand, h
+    return (hs, steps) if keep else h
+
+
+def _pattern_sums(index, rows, patterns: int):
+    """Sum of the rows of `rows` that share a pattern number; row k of
+    rows.reshape(index.size, -1) belongs to index.ravel()[k]. Returns
+    (patterns, row width), zero for patterns that do not occur. A stable
+    sort groups each pattern's rows in their original order."""
+    flat = index.ravel()
+    rows = rows.reshape(flat.size, -1)
+    order = np.argsort(flat, kind="stable")
+    keys = flat[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    sums = np.zeros((patterns, rows.shape[1]))
+    for key, group in zip(keys[starts], np.split(order, starts[1:])):
+        sums[key] = rows[group].sum(axis=0)
+    return sums
+
+
+def is_bit_batch(spec: ModelSpec, batch: np.ndarray) -> bool:
+    """Whether a batch can take the table path: single-channel windows of
+    the spec's length, shaped (batch, length) or (batch, length, 1), holding
+    only 0 and 1."""
+    return (
+        spec.input_channels == 1
+        and batch.shape[1:] in ((spec.input_length,), (spec.input_length, 1))
+        and not ((batch != 0) & (batch != 1)).any()
+    )
+
+
+def table_forward(spec: ModelSpec, params: Params, batch):
+    """forward for a batch of 0/1 windows of a single-channel network,
+    through the tables of a BitWindowKernel; returns (output, caches) for
+    table_backward. Outputs match forward up to float64 rounding."""
+    x = _input_batch(spec, batch)
+    if ((x != 0) & (x != 1)).any():
+        raise DataFormatError("the table path takes only 0/1 inputs")
+    kernel = BitWindowKernel(spec, params)
+    index = kernel.prefix.index(x[:, :, 0])
+    gru = None
+    if kernel.gru is None:
+        x = kernel.table[index]  # (batch, cells, channels)
+    else:
+        gru = _gru_scan(kernel.table, index, *kernel.gru, keep=True)
+        x = gru[0][-1]
+    caches = []
+    for layer, w in kernel.tail:
+        x, cache = _layer_forward(layer, w, x)
+        caches.append(cache)
+    return x, (kernel.prefix, index, gru, caches)
+
+
+class BitWindowKernel:
+    """Inference for a single-channel network whose inputs are 0/1 windows.
+
+    A call maps each window to the pattern numbers of its BitPrefix cells
+    and gathers table rows by them. A GRULayer right after the prefix has
+    its input projection and biases folded into the table (Appleyard et
+    al., 2016), so each recurrence step computes only h @ [Wz_h | Wr_h] and
+    (r * h) @ Wh_h. Every later layer runs through the forward code.
+    Outputs match forward up to float64 rounding.
+
+    The kernel also keeps each output row under its window's cell indices,
+    so the gather, recurrence and later layers run once per distinct window
+    it is called with; windows that differ only from bit `span` on share a
+    row. The table and the memo hold for the params given at construction.
+    """
+
+    def __init__(self, spec: ModelSpec, params: Params):
+        if spec.input_channels != 1:
+            raise ConfigError("bit-window inference needs a single input channel")
+        self.input_length = spec.input_length
+        self.classes = spec.output_classes
+        self.prefix = prefix = BitPrefix(spec, params)
+        self.width, self.stride, self.span = prefix.width, prefix.stride, prefix.span
+        table, self.gru = prefix.table, None
+        rest = prefix.count
+        if rest < len(spec.layers) and isinstance(spec.layers[rest], GRULayer):
+            table, self.gru = _fold_gru(params.weights[rest], table)
             rest += 1
         self.table = table
         self.tail = list(zip(spec.layers[rest:], params.weights[rest:]))
+        self.memo: dict[bytes, np.ndarray] = {}
 
     def __call__(self, windows):
         """Network output for a (batch, input_length) array of 0/1 bits."""
@@ -351,21 +472,19 @@ class BitWindowKernel:
             )
         if ((bits != 0) & (bits != 1)).any():
             raise DataFormatError("bit-window inference takes only 0/1 inputs")
-        cells = np.lib.stride_tricks.sliding_window_view(
-            bits.astype(np.intp), self.width, axis=1
-        )[:, :: self.stride][:, : self.cells]
-        index = cells @ self.place  # (batch, cells)
+        index = self.prefix.index(bits)
+        keys = [row.tobytes() for row in index]
+        unseen = {key: row for row, key in enumerate(keys) if key not in self.memo}
+        if unseen:
+            self.memo.update(zip(unseen, self._evaluate(index[list(unseen.values())])))
+        return np.array([self.memo[key] for key in keys]).reshape(len(keys), self.classes)
+
+    def _evaluate(self, index):
+        """Output rows for the windows of the given cell indices."""
         if self.gru is None:
             x = self.table[index]
         else:
-            units, w_zr, w_h = self.gru
-            steps = self.table[index.T]  # (cells, batch, 3 * units)
-            x = np.zeros((len(bits), units))
-            for a in steps:
-                zr = np.tanh(a[:, : 2 * units] + x @ w_zr) * 0.5 + 0.5
-                z, r = zr[:, :units], zr[:, units:]
-                h_cand = np.tanh(a[:, 2 * units :] + (r * x) @ w_h)
-                x = (1.0 - z) * x + z * h_cand
+            x = _gru_scan(self.table, index, *self.gru)
         for layer, w in self.tail:
             x, _ = _layer_forward(layer, w, x)
         return x
@@ -383,6 +502,26 @@ def output_kind(spec: ModelSpec) -> str:
     return last.kind
 
 
+def _head_gradient(spec: ModelSpec, out, y):
+    """Gradient of the mean classification loss w.r.t. the head's output:
+    categorical cross-entropy for a softmax head, per-unit Bernoulli
+    cross-entropy for a sigmoid head."""
+    clamp = 1e-12
+    if output_kind(spec) == "softmax":
+        return -(y / np.clip(out, clamp, None)) / len(out)
+    p = np.clip(out, clamp, 1.0 - clamp)
+    return (-(y / p) + (1.0 - y) / (1.0 - p)) / len(out)
+
+
+def _with_l2(params: Params, grads, l2_lambda: float):
+    if l2_lambda:
+        for i, w in enumerate(params.weights):
+            for key, arr in w.items():
+                if key.startswith("W"):
+                    grads[i][key] = grads[i][key] + 2.0 * l2_lambda * arr
+    return grads
+
+
 def backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0):
     """Gradient of (classification loss + l2_lambda * sum ||W||^2) w.r.t.
     every parameter, given the caches of a matching forward pass and the
@@ -392,53 +531,121 @@ def backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0)
     Returns per-layer gradient dicts shaped like params.weights; biases are
     not regularized.
     """
-    kind = output_kind(spec)
-    out = caches[-1][2]
-    batch = len(out)
-    clamp = 1e-12
-    if kind == "softmax":
-        dx = -(y / np.clip(out, clamp, None)) / batch
-    else:
-        p = np.clip(out, clamp, 1.0 - clamp)
-        dx = (-(y / p) + (1.0 - y) / (1.0 - p)) / batch
+    dx = _head_gradient(spec, caches[-1][2], y)
     grads: list[dict[str, np.ndarray]] = [{} for _ in spec.layers]
     for i in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[i]
-        w = params.weights[i]
-        cache = caches[i]
-        if isinstance(layer, Dense):
-            grads[i] = {"W": cache[1].T @ dx, "b": dx.sum(axis=0)}
-            dx = dx @ w["W"].T
-        elif isinstance(layer, Conv1D):
-            _, x_shape, flat = cache
-            dy, dx = dx, np.zeros(x_shape)  # dy: (batch, l_out, filters)
-            dout2 = dy.reshape(-1, layer.filters)
-            grads[i] = {"W": (flat.T @ dout2).reshape(w["W"].shape), "b": dout2.sum(axis=0)}
-            s, l_out = layer.stride, dy.shape[1]
-            for kk in range(layer.kernel_size):
-                dx[:, kk : kk + s * l_out : s, :] += dy @ w["W"][kk].T
-        elif isinstance(layer, MaxPool1D):
-            # argmax picks the first of tied maxima, which takes the gradient.
-            _, x_shape, trimmed = cache
-            b_, l_out, p, c = trimmed.shape
-            d4 = np.zeros(trimmed.shape)
-            np.put_along_axis(d4, np.argmax(trimmed, axis=2)[:, :, None], dx[:, :, None], axis=2)
-            dx = np.zeros(x_shape)
-            dx[:, : l_out * p] = d4.reshape(b_, l_out * p, c)
-        elif isinstance(layer, GRULayer):
-            _, x_shape, steps = cache
-            dx = _gru_backward(w, steps, dx, x_shape, grads[i])
-        elif isinstance(layer, Flatten):
-            dx = dx.reshape(cache[1])
-        elif isinstance(layer, Activation):
-            _, x_in, out = cache
-            dx = ACTIVATIONS[layer.kind][1](x_in, out, dx)
-    if l2_lambda:
-        for i, w in enumerate(params.weights):
-            for key, arr in w.items():
-                if key.startswith("W"):
-                    grads[i][key] = grads[i][key] + 2.0 * l2_lambda * arr
-    return grads
+        # No caller reads the gradient w.r.t. the network input.
+        grads[i], dx = _layer_backward(spec.layers[i], params.weights[i], caches[i], dx, i > 0)
+    return _with_l2(params, grads, l2_lambda)
+
+
+def table_backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0):
+    """backward for the caches of table_forward, which it consumes: the GRU
+    step caches are overwritten with the gate gradients.
+
+    The gradient reaching the table is summed per pattern (_pattern_sums),
+    then backpropagated once through the prefix layers on the 2**w pattern
+    rows. A folded GRU accumulates its state weights' gradients as one
+    product over the stacked steps. Gradients match backward up to float64
+    rounding.
+    """
+    prefix, index, gru, tail_caches = caches
+    dx = _head_gradient(spec, tail_caches[-1][2], y)
+    grads: list[dict[str, np.ndarray]] = [{} for _ in spec.layers]
+    first_tail = len(spec.layers) - len(tail_caches)
+    for i in range(len(spec.layers) - 1, first_tail - 1, -1):
+        grads[i], dx = _layer_backward(
+            spec.layers[i], params.weights[i], tail_caches[i - first_tail], dx, i > 0
+        )
+    count = prefix.count
+    if gru is not None:
+        grads[count], dx = _gru_table_backward(params.weights[count], gru, dx, index, prefix.table)
+    elif count:
+        dx = _pattern_sums(index, dx, len(prefix.table))
+    if count:
+        dx = dx[:, None, :]  # the prefix output of each pattern, one cell
+    for i in range(count - 1, -1, -1):
+        layer, w = spec.layers[i], params.weights[i]
+        grads[i], dx = _layer_backward(layer, w, prefix.caches[i], dx, i > 0)
+    return _with_l2(params, grads, l2_lambda)
+
+
+def _gru_table_backward(w, gru, dh, index, table):
+    """Gradients of a folded GRU (_fold_gru, _gru_scan) and of its table.
+
+    The gates stack is overwritten, step by step, with the gradients of the
+    gate pre-activations; the state weights' gradients are then one product
+    over the stacked steps each, and the input weights' gradients one
+    product with the table, after summing per pattern.
+    """
+    hs, gates = gru
+    units = dh.shape[1]
+    w_in, w_zr, w_h, _ = _gru_split(w, table.shape[1])
+    rh = gates[:, :, units : 2 * units] * hs[:-1]  # the candidates' reset-scaled states
+    for t in range(len(gates) - 1, -1, -1):
+        g, h = gates[t], hs[t]
+        z, r, h_cand = g[:, :units], g[:, units : 2 * units], g[:, 2 * units :]
+        dz = dh * (h_cand - h)
+        dh_prev = dh * (1.0 - z)
+        da_h = dh * z * (1.0 - h_cand * h_cand)
+        drh = da_h @ w_h.T
+        dr = drh * h
+        dh_prev += drh * r
+        da_r = dr * r * (1.0 - r)
+        g[:, :units] = dz * z * (1.0 - z)
+        g[:, units : 2 * units] = da_r
+        g[:, 2 * units :] = da_h
+        dh = dh_prev + g[:, : 2 * units] @ w_zr.T
+    da = gates.reshape(-1, 3 * units)
+    g_zr = hs[:-1].reshape(-1, units).T @ da[:, : 2 * units]
+    g_h = rh.reshape(-1, units).T @ da[:, 2 * units :]
+    dfolded = _pattern_sums(index.T, gates, len(table))
+    g_in = table.T @ dfolded
+    bias = dfolded.sum(axis=0)
+    grad = {}
+    for k, name in enumerate("zrh"):
+        cols = slice(k * units, (k + 1) * units)
+        state = g_h if name == "h" else g_zr[:, cols]
+        grad[f"W{name}"] = np.concatenate([g_in[:, cols], state])
+        grad[f"b{name}"] = bias[cols]
+    return grad, dfolded @ w_in.T
+
+
+def _layer_backward(layer: LayerSpec, w, cache, dx, need_dx: bool):
+    """One layer of backward; returns (its gradient dict, the gradient
+    w.r.t. its input, or None when need_dx is false)."""
+    if isinstance(layer, Dense):
+        return {"W": cache[1].T @ dx, "b": dx.sum(axis=0)}, dx @ w["W"].T if need_dx else None
+    if isinstance(layer, Conv1D):
+        _, x_shape, flat = cache
+        dout2 = dx.reshape(-1, layer.filters)
+        grad = {"W": (flat.T @ dout2).reshape(w["W"].shape), "b": dout2.sum(axis=0)}
+        if not need_dx:
+            return grad, None
+        dy, dx = dx, np.zeros(x_shape)  # dy: (batch, l_out, filters)
+        s, l_out = layer.stride, dy.shape[1]
+        for kk in range(layer.kernel_size):
+            dx[:, kk : kk + s * l_out : s, :] += dy @ w["W"][kk].T
+        return grad, dx
+    if isinstance(layer, GRULayer):
+        _, x_shape, steps = cache
+        grad = {}
+        return grad, _gru_backward(w, steps, dx, x_shape, grad)
+    if not need_dx:
+        return {}, None
+    if isinstance(layer, MaxPool1D):
+        # argmax picks the first of tied maxima, which takes the gradient.
+        _, x_shape, trimmed = cache
+        b_, l_out, p, c = trimmed.shape
+        d4 = np.zeros(trimmed.shape)
+        np.put_along_axis(d4, np.argmax(trimmed, axis=2)[:, :, None], dx[:, :, None], axis=2)
+        dx = np.zeros(x_shape)
+        dx[:, : l_out * p] = d4.reshape(b_, l_out * p, c)
+        return {}, dx
+    if isinstance(layer, Flatten):
+        return {}, dx.reshape(cache[1])
+    _, x_in, out = cache
+    return {}, ACTIVATIONS[layer.kind][1](x_in, out, dx)
 
 
 def _gru_backward(w, steps, dh, x_shape, grad):

@@ -7,7 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from amisim.errors import ConfigError, TrainingError
-from amisim.nn.model import ModelSpec, Params, backward, forward, init_params, output_kind
+from amisim.nn.model import (
+    BitWindowKernel,
+    ModelSpec,
+    Params,
+    backward,
+    forward,
+    init_params,
+    is_bit_batch,
+    output_kind,
+    table_backward,
+    table_forward,
+)
 
 LOG_CLAMP = 1e-12
 ADAM_BETA1 = 0.9
@@ -72,11 +83,20 @@ def model_loss(spec, params, x, y, l2_lambda: float = 0.0):
 
 
 def loss_and_grads(spec, params, x, y, l2_lambda: float = 0.0):
-    """Forward + backward on a batch; returns (loss, output, gradients)."""
-    out, caches = forward(spec, params, x)
-    loss = _loss(spec, params, out, y, l2_lambda)
-    grads = backward(spec, params, caches, y, l2_lambda=l2_lambda)
-    return loss, out, grads
+    """Forward + backward on a batch; returns (loss, output, gradients).
+
+    A batch of single-channel 0/1 windows takes the table path
+    (table_forward, table_backward), any other the positional reference
+    (forward, backward); both give the same results up to float64 rounding.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if is_bit_batch(spec, x):
+        out, caches = table_forward(spec, params, x)
+        grads = table_backward(spec, params, caches, y, l2_lambda=l2_lambda)
+    else:
+        out, caches = forward(spec, params, x)
+        grads = backward(spec, params, caches, y, l2_lambda=l2_lambda)
+    return _loss(spec, params, out, y, l2_lambda), out, grads
 
 
 def adam_step(params: Params, grads, m, v, config: TrainConfig, t: int) -> Params:
@@ -151,12 +171,16 @@ def train(spec: ModelSpec, x, labels, config: TrainConfig):
 
 
 def predict_proba(spec, params, x):
-    """Forward in chunks; returns output rows for each input row."""
+    """Output rows for each input row, computed in chunks: through one
+    BitWindowKernel for single-channel 0/1 windows, through forward
+    otherwise."""
     x = np.asarray(x, dtype=np.float64)
-    outs = []
-    for start in range(0, len(x), PREDICT_BATCH):
-        out, _ = forward(spec, params, x[start : start + PREDICT_BATCH])
-        outs.append(out)
+    if is_bit_batch(spec, x):
+        x, model = x.reshape(len(x), spec.input_length), BitWindowKernel(spec, params)
+    else:
+        def model(chunk):
+            return forward(spec, params, chunk)[0]
+    outs = [model(x[start : start + PREDICT_BATCH]) for start in range(0, len(x), PREDICT_BATCH)]
     return np.concatenate(outs, axis=0)
 
 

@@ -422,3 +422,26 @@ def test_known_defense_and_simulated_view_pipeline(corpus_files, tmp_path):
     for name in ("eval3.json", "evalp.json"):
         confusion = json.loads((tmp_path / name).read_text())["report"]["confusion"]
         assert sum(map(sum, confusion)) == test_days, name
+
+
+def test_train_reads_bits_of_a_basic_form_date(tmp_path):
+    # date.fromisoformat also reads 20160102; the record's bits must be
+    # found under its ISO key all the same, and train as before.
+    traces, truth = tmp_path / "traces.csv", tmp_path / "truth.json"
+    assert main(["synth", "--consumers", "2", "--days", "3", "--seed", "1",
+                 "--out", str(traces), "--truth", str(truth)]) == 0
+    labeled = tmp_path / "labeled.jsonl"
+    assert main(["prep", "--traces", str(traces), "--rate", "per30min",
+                 "--truth", str(truth), "--out", str(labeled)]) == 0
+    lines = labeled.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["date"] = row["date"].replace("-", "")
+    basic = tmp_path / "basic.jsonl"
+    basic.write_text("\n".join([lines[0], json.dumps(row), *lines[2:]]) + "\n")
+    outputs = []
+    for dataset in (labeled, basic):
+        out = tmp_path / f"{dataset.stem}.bin"
+        assert main(["train", "--dataset", str(dataset), "--target", "attacker",
+                     "--rate", "per30min", "--epochs", "1", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -340,7 +340,8 @@ def test_bit_window_kernel_span():
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_bit_window_kernel_ignores_bits_from_span_on(name, seed, data):
     spec = KERNEL_SPECS[name]
-    kernel = BitWindowKernel(spec, init_params(spec, seed=seed))
+    params = init_params(spec, seed=seed)
+    kernel = BitWindowKernel(spec, params)
     bits = data.draw(st.lists(st.integers(0, 1), min_size=spec.input_length,
                               max_size=spec.input_length))
     unread = spec.input_length - kernel.span
@@ -348,4 +349,37 @@ def test_bit_window_kernel_ignores_bits_from_span_on(name, seed, data):
     window = np.array([bits], dtype=np.float64)
     flipped = window.copy()
     flipped[0, kernel.span :] = np.where(flips, 1 - window[0, kernel.span :], window[0, kernel.span :])
-    assert np.array_equal(kernel(flipped), kernel(window))
+    # Two kernels, so that the second output is computed, not remembered.
+    assert np.array_equal(kernel(flipped), BitWindowKernel(spec, params)(window))
+
+
+@pytest.mark.parametrize("name", ["per5min", "per30min"])
+def test_bit_window_kernel_runs_each_distinct_window_once(monkeypatch, name):
+    import amisim.nn.model
+
+    spec = KERNEL_SPECS[name]
+    params = init_params(spec, seed=4)
+    kernel = BitWindowKernel(spec, params)
+    scanned = []
+
+    def counting_scan(folded, index, *weights):
+        scanned.append(len(index))
+        return scan(folded, index, *weights)
+
+    scan = amisim.nn.model._gru_scan
+    monkeypatch.setattr(amisim.nn.model, "_gru_scan", counting_scan)
+    distinct = np.random.default_rng(0).integers(0, 2, size=(5, spec.input_length))
+    first = kernel(distinct[[0, 1, 0, 2, 1, 0]])
+    assert scanned == [3]
+    assert np.array_equal(first[[2, 5]], first[[0, 0]])
+    assert np.array_equal(first[4], first[1])
+    second = kernel(distinct[[2, 3, 4, 3, 0]])
+    assert scanned == [3, 2]  # windows 3 and 4 only
+    assert np.array_equal(second[[0, 4]], first[[3, 0]])
+    assert np.array_equal(second[3], second[1])
+    again = kernel(distinct)
+    assert scanned == [3, 2]
+    assert np.array_equal(again, np.concatenate([first[[0, 1, 3]], second[[1, 2]]]))
+    ref, _ = forward(spec, params, distinct[:, :, None])
+    assert np.abs(again - ref).max() <= 1e-12
+    assert kernel(distinct[:0]).shape == (0, spec.output_classes)

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import amisim.nn.training
+from amisim.attacker import build_attacker, build_threeclass
+from amisim.defense import build_defense
 from amisim.errors import ConfigError
 from amisim.nn import (
     Activation,
     Dense,
     Flatten,
+    GRULayer,
     ModelSpec,
     TrainConfig,
     accuracy,
@@ -16,8 +22,10 @@ from amisim.nn import (
     loss_and_grads,
     model_loss,
     one_hot,
+    predict_proba,
     train,
 )
+from amisim.nn.model import backward, forward, table_backward, table_forward
 from amisim.nn.training import ADAM_EPS
 
 
@@ -177,3 +185,69 @@ def test_train_rejects_empty_and_mismatched():
         train(spec, np.zeros((0, 2, 1)), np.zeros(0, dtype=int), config)
     with pytest.raises(ConfigError):
         train(spec, np.zeros((4, 2, 1)), np.zeros(3, dtype=int), config)
+
+
+TABLE_SPECS = {
+    f"{build.__name__.removeprefix('build_')}-{rate}": build(rate)
+    for build in (build_attacker, build_defense, build_threeclass)
+    for rate in ("per5min", "per30min")
+}
+# An empty prefix: each bit its own cell, before Flatten or a first GRU.
+TABLE_SPECS["flatten-dense"] = _toy_spec()
+TABLE_SPECS["gru-first"] = ModelSpec(5, 1, (GRULayer(3), Dense(2), Activation("softmax")), 2)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_table_path_matches_positional_reference(name, seed):
+    spec = TABLE_SPECS[name]
+    params = init_params(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=(10, spec.input_length, 1)).astype(np.float64)
+    x[1] = x[0]  # a repeated window
+    y = one_hot(rng.integers(0, spec.output_classes, size=len(x)), spec.output_classes)
+    ref, caches = forward(spec, params, x)
+    ref_grads = backward(spec, params, caches, y, l2_lambda=1e-3)
+    out, caches = table_forward(spec, params, x)
+    grads = table_backward(spec, params, caches, y, l2_lambda=1e-3)
+    # Bounds fixed before measuring: float64 rounding of sums taken per
+    # pattern instead of per position, and of the tanh form of the gates.
+    assert np.abs(out - ref).max() <= 1e-12
+    for layer, ref_layer in zip(grads, ref_grads):
+        assert layer.keys() == ref_layer.keys()
+        for key, r in ref_layer.items():
+            assert layer[key].shape == r.shape
+            assert np.abs(layer[key] - r).max() <= 1e-12 * np.abs(r).max()
+
+
+def _refusing(*args, **kwargs):
+    raise AssertionError("wrong path")
+
+
+@pytest.mark.parametrize("kind", ["binary", "gaussian", "two-channel", "non-binary"])
+def test_input_chooses_the_path(monkeypatch, kind):
+    rng = np.random.default_rng(1)
+    spec = _toy_spec()
+    x = rng.integers(0, 2, size=(6, 2, 1)).astype(np.float64)
+    if kind == "gaussian":
+        x = rng.normal(size=x.shape)
+    elif kind == "non-binary":
+        x[3, 1, 0] = 0.5
+    elif kind == "two-channel":
+        spec = ModelSpec(2, 2, spec.layers, 2)
+        x = rng.integers(0, 2, size=(6, 2, 2)).astype(np.float64)
+    params = init_params(spec, seed=0)
+    y = one_hot(rng.integers(0, 2, size=len(x)), 2)
+    ref, caches = forward(spec, params, x)
+    ref_grads = backward(spec, params, caches, y)
+    if kind == "binary":
+        monkeypatch.setattr(amisim.nn.training, "forward", _refusing)
+        monkeypatch.setattr(amisim.nn.training, "backward", _refusing)
+    else:
+        monkeypatch.setattr(amisim.nn.training, "table_forward", _refusing)
+        monkeypatch.setattr(amisim.nn.training, "BitWindowKernel", _refusing)
+    _, out, grads = loss_and_grads(spec, params, x, y)
+    assert np.abs(out - ref).max() <= 1e-12
+    assert np.abs(grads[1]["W"] - ref_grads[1]["W"]).max() <= 1e-12
+    assert np.abs(predict_proba(spec, params, x) - ref).max() <= 1e-12
