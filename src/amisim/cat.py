@@ -175,12 +175,8 @@ def efficiency_table(
 ) -> dict[tuple[int, float], float]:
     """Efficiency over the whole corpus for every (rate, threshold) pair.
 
-    Expects 1-min traces so each requested rate can be derived by
-    resampling. Keys of the result are (rate_minutes, threshold_percent).
+    Keys of the result are (rate_minutes, threshold_percent).
     """
-    for trace in traces:
-        if trace.granularity_minutes != 1:
-            raise ConfigError("efficiency_table expects 1-min traces")
     table: dict[tuple[int, float], float] = {}
     for rate in rates:
         for threshold in thresholds:

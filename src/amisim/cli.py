@@ -498,7 +498,7 @@ def main(argv=None) -> int:
     except (ConfigError, CryptoError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (AmisimError, OSError) as exc:
+    except (AmisimError, OSError, UnicodeDecodeError) as exc:  # or an input not in UTF-8
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

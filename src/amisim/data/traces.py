@@ -95,6 +95,8 @@ class DayRecord:
         readings = np.asarray(self.readings, dtype=np.float64)
         readings.setflags(write=False)
         object.__setattr__(self, "readings", readings)
+        if not isinstance(self.consumer_id, str):
+            raise DataFormatError(f"consumer id {self.consumer_id!r} is not a string")
         if len(readings) == 0 or MINUTES_PER_DAY % len(readings) != 0:
             raise DataFormatError(
                 f"day record of {len(readings)} slots does not cover 24h evenly"

@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from amisim.errors import ConfigError, DataFormatError, DimensionError
-from amisim.nn.activations import ACTIVATIONS, sigmoid
+from amisim.nn.activations import ACTIVATIONS
 
 
 @dataclass(frozen=True)
@@ -202,21 +202,55 @@ def _conv_cols(x, kernel_size, stride):
     return np.ascontiguousarray(windows.transpose(0, 1, 3, 2))  # (B, L_out, K, C)
 
 
-def _gru_step_cached(weights, x_t, h_prev):
-    """One recurrence step; returns the next hidden state and the backward
-    cache.
+def _gru_split(w, c: int):
+    """A GRU layer's weights by what they multiply: the c input channels of
+    all three gates (c, 3 * units), the state in the update and reset gates
+    (units, 2 * units) and in the candidate (units, units); and the three
+    biases, joined in the same z, r, h order."""
+    w_in = np.concatenate([w["Wz"][:c], w["Wr"][:c], w["Wh"][:c]], axis=1)
+    w_zr = np.concatenate([w["Wz"][c:], w["Wr"][c:]], axis=1)
+    return w_in, w_zr, w["Wh"][c:], np.concatenate([w["bz"], w["br"], w["bh"]])
 
-    Update gate z and reset gate r are sigmoids of the joined [x, h] input;
-    the candidate state uses the reset-scaled hidden state, and z blends the
-    candidate into the carried state.
+
+def _fold_gru(w, table):
+    """The GRU's input projection and biases applied to every table row
+    (Appleyard et al., 2016); returns (folded table, state weights) for
+    _gru_scan.
+
+    The gates use sigmoid(v) = 0.5 * tanh(v / 2) + 0.5, one ufunc pass
+    instead of sigmoid's two masked branches. The halving is applied to the
+    z and r weights and biases up front; scaling by 0.5 is exact in binary
+    floating point.
     """
-    xh = np.concatenate([x_t, h_prev], axis=1)
-    z = sigmoid(xh @ weights["Wz"] + weights["bz"])
-    r = sigmoid(xh @ weights["Wr"] + weights["br"])
-    xrh = np.concatenate([x_t, r * h_prev], axis=1)
-    h_cand = np.tanh(xrh @ weights["Wh"] + weights["bh"])
-    h_t = (1.0 - z) * h_prev + z * h_cand
-    return h_t, (x_t, h_prev, z, r, h_cand)
+    w_in, w_zr, w_h, bias = _gru_split(w, table.shape[1])
+    half = np.concatenate([np.full(2 * w["bz"].size, 0.5), np.ones(w["bh"].size)])
+    return (table @ w_in + bias) * half, (0.5 * w_zr, w_h)
+
+
+def _gru_scan(folded, index, w_zr, w_h, keep: bool = False):
+    """A GRU (Cho et al., 2014) from a zero state whose step-t input is the
+    folded row index[:, t]; each step computes only h @ w_zr and
+    (r * h) @ w_h. Update gate z and reset gate r are sigmoids; the
+    candidate sees the reset-scaled state, and z blends it into the carried
+    state: h = (1 - z) * h + z * candidate.
+
+    Returns the last state, or with keep the stacked steps for backward:
+    hs (cells + 1, batch, units), the states from the zero state on, and
+    gates (cells, batch, 3 * units), each step's update gate, reset gate and
+    candidate, written over the gathered inputs.
+    """
+    units = w_h.shape[0]
+    steps = folded[index.T]  # (cells, batch, 3 * units)
+    h = np.zeros((len(index), units))
+    hs = np.zeros((len(steps) + 1,) + h.shape) if keep else None
+    for t, a in enumerate(steps):
+        zr = np.tanh(a[:, : 2 * units] + h @ w_zr) * 0.5 + 0.5
+        z, r = zr[:, :units], zr[:, units:]
+        h_cand = np.tanh(a[:, 2 * units :] + (r * h) @ w_h)
+        h = (1.0 - z) * h + z * h_cand
+        if keep:
+            a[:, : 2 * units], a[:, 2 * units :], hs[t + 1] = zr, h_cand, h
+    return (hs, steps) if keep else h
 
 
 def _input_batch(spec: ModelSpec, batch):
@@ -259,13 +293,13 @@ def _layer_forward(layer: LayerSpec, w: dict[str, np.ndarray], x):
         trimmed = x[:, : l_out * p, :].reshape(b_, l_out, p, c)
         return trimmed.max(axis=2), ("pool", x.shape, trimmed)
     if isinstance(layer, GRULayer):
-        b_, t_steps, _ = x.shape
-        h = np.zeros((b_, layer.units))
-        steps = []
-        for t in range(t_steps):
-            h, step_cache = _gru_step_cached(w, x[:, t, :], h)
-            steps.append(step_cache)
-        return h, ("gru", x.shape, steps)
+        # The batch's own positions as a table: row b * length + t is x[b, t].
+        b_, t_steps, c = x.shape
+        table = x.reshape(-1, c)
+        index = np.arange(b_ * t_steps).reshape(b_, t_steps)
+        folded, state = _fold_gru(w, table)
+        gru = _gru_scan(folded, index, *state, keep=True)
+        return gru[0][-1], ("gru", gru, index, table)
     if isinstance(layer, Flatten):
         return x.reshape(x.shape[0], -1), ("flatten", x.shape)
     out = ACTIVATIONS[layer.kind][0](x)
@@ -332,54 +366,6 @@ class BitPrefix:
             bits.astype(np.intp), self.width, axis=1
         )[:, :: self.stride][:, : self.cells]
         return cells @ self.place
-
-
-def _gru_split(w, c: int):
-    """A GRU layer's weights by what they multiply: the c input channels of
-    all three gates (c, 3 * units), the state in the update and reset gates
-    (units, 2 * units) and in the candidate (units, units); and the three
-    biases, joined in the same z, r, h order."""
-    w_in = np.concatenate([w["Wz"][:c], w["Wr"][:c], w["Wh"][:c]], axis=1)
-    w_zr = np.concatenate([w["Wz"][c:], w["Wr"][c:]], axis=1)
-    return w_in, w_zr, w["Wh"][c:], np.concatenate([w["bz"], w["br"], w["bh"]])
-
-
-def _fold_gru(w, table):
-    """The GRU's input projection and biases applied to every table row
-    (Appleyard et al., 2016); returns (folded table, state weights) for
-    _gru_scan.
-
-    The gates use sigmoid(v) = 0.5 * tanh(v / 2) + 0.5, one ufunc pass
-    instead of sigmoid's two masked branches. The halving is applied to the
-    z and r weights and biases up front; scaling by 0.5 is exact in binary
-    floating point.
-    """
-    w_in, w_zr, w_h, bias = _gru_split(w, table.shape[1])
-    half = np.concatenate([np.full(2 * w["bz"].size, 0.5), np.ones(w["bh"].size)])
-    return (table @ w_in + bias) * half, (0.5 * w_zr, w_h)
-
-
-def _gru_scan(folded, index, w_zr, w_h, keep: bool = False):
-    """A GRU from a zero state whose step-t input is the folded row
-    index[:, t]; each step computes only h @ w_zr and (r * h) @ w_h.
-
-    Returns the last state, or with keep the stacked steps for backward:
-    hs (cells + 1, batch, units), the states from the zero state on, and
-    gates (cells, batch, 3 * units), each step's update gate, reset gate and
-    candidate, written over the gathered inputs.
-    """
-    units = w_h.shape[0]
-    steps = folded[index.T]  # (cells, batch, 3 * units)
-    h = np.zeros((len(index), units))
-    hs = np.zeros((len(steps) + 1,) + h.shape) if keep else None
-    for t, a in enumerate(steps):
-        zr = np.tanh(a[:, : 2 * units] + h @ w_zr) * 0.5 + 0.5
-        z, r = zr[:, :units], zr[:, units:]
-        h_cand = np.tanh(a[:, 2 * units :] + (r * h) @ w_h)
-        h = (1.0 - z) * h + z * h_cand
-        if keep:
-            a[:, : 2 * units], a[:, 2 * units :], hs[t + 1] = zr, h_cand, h
-    return (hs, steps) if keep else h
 
 
 def _pattern_sums(index, rows, patterns: int):
@@ -529,7 +515,8 @@ def backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0)
     head and per-unit Bernoulli cross-entropy for a sigmoid head.
 
     Returns per-layer gradient dicts shaped like params.weights; biases are
-    not regularized.
+    not regularized. A GRU layer's cache is consumed: its gate stack is
+    overwritten with the gate gradients.
     """
     dx = _head_gradient(spec, caches[-1][2], y)
     grads: list[dict[str, np.ndarray]] = [{} for _ in spec.layers]
@@ -540,14 +527,12 @@ def backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0)
 
 
 def table_backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float = 0.0):
-    """backward for the caches of table_forward, which it consumes: the GRU
-    step caches are overwritten with the gate gradients.
+    """backward for the caches of table_forward, which it consumes like
+    backward does.
 
     The gradient reaching the table is summed per pattern (_pattern_sums),
     then backpropagated once through the prefix layers on the 2**w pattern
-    rows. A folded GRU accumulates its state weights' gradients as one
-    product over the stacked steps. Gradients match backward up to float64
-    rounding.
+    rows. Gradients match backward up to float64 rounding.
     """
     prefix, index, gru, tail_caches = caches
     dx = _head_gradient(spec, tail_caches[-1][2], y)
@@ -559,7 +544,7 @@ def table_backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float 
         )
     count = prefix.count
     if gru is not None:
-        grads[count], dx = _gru_table_backward(params.weights[count], gru, dx, index, prefix.table)
+        grads[count], dx = _gru_backward(params.weights[count], gru, dx, index, prefix.table)
     elif count:
         dx = _pattern_sums(index, dx, len(prefix.table))
     if count:
@@ -570,7 +555,7 @@ def table_backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float 
     return _with_l2(params, grads, l2_lambda)
 
 
-def _gru_table_backward(w, gru, dh, index, table):
+def _gru_backward(w, gru, dh, index, table):
     """Gradients of a folded GRU (_fold_gru, _gru_scan) and of its table.
 
     The gates stack is overwritten, step by step, with the gradients of the
@@ -628,9 +613,9 @@ def _layer_backward(layer: LayerSpec, w, cache, dx, need_dx: bool):
             dx[:, kk : kk + s * l_out : s, :] += dy @ w["W"][kk].T
         return grad, dx
     if isinstance(layer, GRULayer):
-        _, x_shape, steps = cache
-        grad = {}
-        return grad, _gru_backward(w, steps, dx, x_shape, grad)
+        _, gru, index, table = cache
+        grad, dtable = _gru_backward(w, gru, dx, index, table)
+        return grad, dtable.reshape(index.shape + (-1,)) if need_dx else None
     if not need_dx:
         return {}, None
     if isinstance(layer, MaxPool1D):
@@ -646,39 +631,3 @@ def _layer_backward(layer: LayerSpec, w, cache, dx, need_dx: bool):
         return {}, dx.reshape(cache[1])
     _, x_in, out = cache
     return {}, ACTIVATIONS[layer.kind][1](x_in, out, dx)
-
-
-def _gru_backward(w, steps, dh, x_shape, grad):
-    b_, t_steps, c = x_shape
-    grad.update({name: np.zeros_like(arr) for name, arr in w.items()})
-    dx_seq = np.zeros((b_, t_steps, c))
-    for t in range(t_steps - 1, -1, -1):
-        x_t, h_prev, z, r, h_cand = steps[t]
-        dz = dh * (h_cand - h_prev)
-        dh_cand = dh * z
-        dh_prev = dh * (1.0 - z)
-
-        da_h = dh_cand * (1.0 - h_cand * h_cand)
-        xrh = np.concatenate([x_t, r * h_prev], axis=1)
-        grad["Wh"] += xrh.T @ da_h
-        grad["bh"] += da_h.sum(axis=0)
-        dxrh = da_h @ w["Wh"].T
-        dx_t = dxrh[:, :c]
-        drh = dxrh[:, c:]
-        dr = drh * h_prev
-        dh_prev = dh_prev + drh * r
-
-        da_z = dz * z * (1.0 - z)
-        da_r = dr * r * (1.0 - r)
-        xh = np.concatenate([x_t, h_prev], axis=1)
-        grad["Wz"] += xh.T @ da_z
-        grad["bz"] += da_z.sum(axis=0)
-        grad["Wr"] += xh.T @ da_r
-        grad["br"] += da_r.sum(axis=0)
-        dxh = da_z @ w["Wz"].T + da_r @ w["Wr"].T
-        dx_t = dx_t + dxh[:, :c]
-        dh_prev = dh_prev + dxh[:, c:]
-
-        dx_seq[:, t, :] = dx_t
-        dh = dh_prev
-    return dx_seq

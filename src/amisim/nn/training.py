@@ -173,8 +173,10 @@ def train(spec: ModelSpec, x, labels, config: TrainConfig):
 def predict_proba(spec, params, x):
     """Output rows for each input row, computed in chunks: through one
     BitWindowKernel for single-channel 0/1 windows, through forward
-    otherwise."""
+    otherwise. Zero rows give an empty (0, output_classes) array."""
     x = np.asarray(x, dtype=np.float64)
+    if not len(x):
+        return np.zeros((0, spec.output_classes))
     if is_bit_batch(spec, x):
         x, model = x.reshape(len(x), spec.input_length), BitWindowKernel(spec, params)
     else:

@@ -1,11 +1,13 @@
-"""Per-slot references the tests compare the program's batched code with.
+"""Per-step references the tests compare the program's batched code with.
 
 The program runs the defense as one corpus schedule
-(amisim.defense.simulate_corpus) and the defense-aware attacker as the
-CLI's threeclass_sets -> train_threeclass -> evaluate_threeclass sequence.
-The definitions here are the plain forms of both: a ring-buffer memory and
-a slot-by-slot day loop that calls defense_decide, and the attack as one
-function. pytest does not collect this module; tests import from it.
+(amisim.defense.simulate_corpus), the defense-aware attacker as the CLI's
+threeclass_sets -> train_threeclass -> evaluate_threeclass sequence, and a
+GRU layer as one folded scan over the whole batch. The definitions here are
+the plain forms of all three: a ring-buffer memory and a slot-by-slot day
+loop that calls defense_decide, the attack as one function, and the
+textbook GRU step. pytest does not collect this module; tests import from
+it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from amisim.cat import CatConfig, EuView, TransmissionPattern, cat_decide
 from amisim.data.traces import DayRecord, PresenceLabel
 from amisim.defense import DefenseBundle, defense_decide
 from amisim.errors import ConfigError, ProtocolError
-from amisim.nn import TrainConfig
+from amisim.nn import TrainConfig, sigmoid
 
 
 class DefenseState:
@@ -112,3 +114,18 @@ def known_defense_attack(
     tr, te = threeclass_sets(bundle, traces, presence, cat, train_keys, test_keys)
     spec, params, _ = train_threeclass(rate, *tr, config=config)
     return evaluate_threeclass(spec, params, *te)
+
+
+def gru_step(weights, x_t, h_prev):
+    """One GRU recurrence step (Cho et al., 2014); returns the next state.
+
+    Update gate z and reset gate r are sigmoids of the joined [x, h] input;
+    the candidate state uses the reset-scaled hidden state, and z blends the
+    candidate into the carried state.
+    """
+    xh = np.concatenate([x_t, h_prev], axis=1)
+    z = sigmoid(xh @ weights["Wz"] + weights["bz"])
+    r = sigmoid(xh @ weights["Wr"] + weights["br"])
+    xrh = np.concatenate([x_t, r * h_prev], axis=1)
+    h_cand = np.tanh(xrh @ weights["Wh"] + weights["bh"])
+    return (1.0 - z) * h_prev + z * h_cand

@@ -91,6 +91,41 @@ def test_efficiency_table_csv(corpus_files, tmp_path):
     assert len(lines) == 5
 
 
+def test_efficiency_reads_a_coarser_csv(corpus_files, tmp_path, capsys):
+    from amisim.cat import efficiency_table, write_efficiency_csv
+    from amisim.data import ingest_csv, resample, write_traces_csv
+
+    traces, _ = corpus_files
+    coarse = tmp_path / "five-minute.csv"
+    write_traces_csv(coarse, [resample(t, 5) for t in ingest_csv(traces)])
+    out, expected = tmp_path / "eff.csv", tmp_path / "expected.csv"
+    assert main(["efficiency", "--traces", str(coarse), "--rates", "5", "30",
+                 "--out", str(out)]) == 0
+    write_efficiency_csv(expected, efficiency_table(
+        ingest_csv(coarse), thresholds=[1.0, 4.0, 7.0, 10.0], rates=[5, 30]))
+    assert out.read_bytes() == expected.read_bytes()
+    capsys.readouterr()
+    assert main(["efficiency", "--traces", str(coarse), "--rates", "1",
+                 "--out", str(tmp_path / "finer.csv")]) == 2
+    assert "multiple of 5 min" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_3(corpus_files, tmp_path, capsys):
+    traces, truth = corpus_files
+    labeled = tmp_path / "labeled.jsonl"
+    assert main(["prep", "--traces", str(traces), "--rate", "per30min", "--seed", "7",
+                 "--truth", str(truth), "--out", str(labeled)]) == 0
+    for path in (traces, labeled):  # 0xE9 is "é" in Latin-1, not UTF-8
+        path.write_bytes(path.read_bytes().replace(b"sm0000", b"sm\xe9000"))
+    capsys.readouterr()
+    assert main(["ingest", "--in", str(traces), "--out", str(tmp_path / "o.csv")]) == 3
+    assert "data error" in capsys.readouterr().err
+    assert main(["train", "--dataset", str(labeled), "--target", "attacker",
+                 "--rate", "per30min", "--seed", "7", "--epochs", "0",
+                 "--out", str(tmp_path / "att.bin")]) == 3
+    assert "data error" in capsys.readouterr().err
+
+
 def test_missing_input_exits_3(corpus_files, tmp_path):
     traces, _ = corpus_files
     for infile, out in (
@@ -280,7 +315,8 @@ def test_corpus_without_whole_day_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing-key", "not-an-object", "no-readings",
-                                    "short-bits", "non-binary-bits", "no-bits"])
+                                    "short-bits", "non-binary-bits", "no-bits",
+                                    "non-string-consumer"])
 def test_train_malformed_dataset_line_exits_3(corpus_files, tmp_path, capsys, damage):
     traces, truth = corpus_files
     labeled = tmp_path / "labeled.jsonl"
@@ -310,6 +346,10 @@ def test_train_malformed_dataset_line_exits_3(corpus_files, tmp_path, capsys, da
     elif damage == "no-bits":
         row = json.loads(lines[1])
         del row["bits"]
+        lines[1] = json.dumps(row)
+    elif damage == "non-string-consumer":
+        row = json.loads(lines[1])
+        row["consumer"] = ["a"]
         lines[1] = json.dumps(row)
     else:
         lines[1] = "[1, 2, 3]"

@@ -19,7 +19,7 @@ from amisim.nn import (
     model_loss,
     one_hot,
 )
-from amisim.nn.model import _gru_backward, _gru_step_cached
+from amisim.nn.model import _layer_backward, _layer_forward
 
 EPS = 1e-5
 
@@ -184,9 +184,11 @@ def test_l2_regularized_gradients():
 
 
 def test_gru_step_weight_gradients_fd():
-    """Projection of one recurrence step differentiated w.r.t. every weight."""
+    """A projection of one GRU layer's last state over a sequence,
+    differentiated w.r.t. every weight and the input."""
     rng = np.random.default_rng(10)
-    units, channels, batch = 4, 3, 5
+    units, channels, batch, steps = 4, 2, 5, 4
+    layer = GRULayer(units)
     weights = {
         "Wz": rng.normal(size=(channels + units, units)) * 0.5,
         "bz": rng.normal(size=units) * 0.1,
@@ -195,20 +197,19 @@ def test_gru_step_weight_gradients_fd():
         "Wh": rng.normal(size=(channels + units, units)) * 0.5,
         "bh": rng.normal(size=units) * 0.1,
     }
-    x = rng.normal(size=(batch, channels))
-    h_prev = rng.normal(size=(batch, units)) * 0.5
+    x = rng.normal(size=(batch, steps, channels))
     proj = rng.normal(size=(batch, units))
 
     def objective():
-        h, _ = _gru_step_cached(weights, x, h_prev)
+        h, _ = _layer_forward(layer, weights, x)
         return float((h * proj).sum())
 
-    h, cache = _gru_step_cached(weights, x, h_prev)
-    analytic = {k: np.zeros_like(v) for k, v in weights.items()}
-    _gru_backward(weights, [cache], proj, (batch, 1, channels), analytic)
+    _, cache = _layer_forward(layer, weights, x)
+    grad, dx = _layer_backward(layer, weights, cache, proj, True)
+    analytic = dict(grad, x=dx)
 
     worst = 0.0
-    for key, arr in weights.items():
+    for key, arr in dict(weights, x=x).items():
         flat = arr.reshape(-1)
         aflat = analytic[key].reshape(-1)
         for j in range(flat.size):
@@ -221,7 +222,7 @@ def test_gru_step_weight_gradients_fd():
             num = (lp - lm) / (2.0 * EPS)
             denom = max(abs(num), abs(aflat[j]), 1e-6)
             worst = max(worst, abs(num - aflat[j]) / denom)
-    assert worst <= 1e-5, f"gru_step max relative error {worst:.3e}"
+    assert worst <= 1e-5, f"gru layer max relative error {worst:.3e}"
 
 
 def test_backward_from_cache_matches_loss_and_grads():

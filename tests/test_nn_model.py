@@ -21,7 +21,8 @@ from amisim.nn import (
     load_params,
     save_params,
 )
-from amisim.nn.model import _gru_step_cached
+from amisim.nn.model import _layer_forward
+from reference import gru_step
 
 
 def _mlp(input_len, classes=2):
@@ -136,55 +137,55 @@ def test_forward_rejects_wrong_input_shape():
         forward(spec, params, np.zeros((2, 5, 1)))
 
 
+def _gru_weights(rng, units, channels, scale=1.0):
+    return {
+        "Wz": rng.normal(size=(channels + units, units)) * scale,
+        "bz": rng.normal(size=units),
+        "Wr": rng.normal(size=(channels + units, units)) * scale,
+        "br": rng.normal(size=units),
+        "Wh": rng.normal(size=(channels + units, units)),
+        "bh": rng.normal(size=units),
+    }
+
+
 def test_gru_step_zero_weights():
     units, channels = 3, 2
-    weights = {
-        "Wz": np.zeros((channels + units, units)),
-        "bz": np.zeros(units),
-        "Wr": np.zeros((channels + units, units)),
-        "br": np.zeros(units),
-        "Wh": np.zeros((channels + units, units)),
-        "bh": np.zeros(units),
-    }
-    x = np.random.default_rng(0).normal(size=(4, channels))
-    h = np.zeros((4, units))
-    h_next = _gru_step_cached(weights, x, h)[0]
-    assert np.allclose(h_next, 0.0)
+    weights = {k: np.zeros_like(v)
+               for k, v in _gru_weights(np.random.default_rng(0), units, channels).items()}
+    x = np.random.default_rng(0).normal(size=(4, 5, channels))
+    h, _ = _layer_forward(GRULayer(units), weights, x)
+    assert np.allclose(h, 0.0)
 
 
 def test_gru_step_stays_in_unit_interval():
     rng = np.random.default_rng(7)
     units, channels = 5, 3
-    weights = {
-        "Wz": rng.normal(size=(channels + units, units)),
-        "bz": rng.normal(size=units),
-        "Wr": rng.normal(size=(channels + units, units)),
-        "br": rng.normal(size=units),
-        "Wh": rng.normal(size=(channels + units, units)),
-        "bh": rng.normal(size=units),
-    }
-    h = rng.uniform(-0.99, 0.99, size=(6, units))
-    for _ in range(20):
-        h = _gru_step_cached(weights, rng.normal(size=(6, channels)), h)[0]
-        assert np.all(np.abs(h) < 1.0)
+    weights = _gru_weights(rng, units, channels)
+    _, (_, (hs, _), _, _) = _layer_forward(GRULayer(units), weights, rng.normal(size=(6, 20, channels)))
+    assert np.all(np.abs(hs[1:]) < 1.0)  # every state after the zero state
 
 
 def test_gru_gates_in_open_interval():
     rng = np.random.default_rng(3)
     units, channels = 4, 2
-    weights = {
-        "Wz": rng.normal(size=(channels + units, units)) * 3,
-        "bz": rng.normal(size=units),
-        "Wr": rng.normal(size=(channels + units, units)) * 3,
-        "br": rng.normal(size=units),
-        "Wh": rng.normal(size=(channels + units, units)),
-        "bh": rng.normal(size=units),
-    }
-    _, (_, _, z, r, _) = _gru_step_cached(
-        weights, rng.normal(size=(8, channels)), rng.normal(size=(8, units))
-    )
-    assert np.all((z > 0) & (z < 1))
-    assert np.all((r > 0) & (r < 1))
+    weights = _gru_weights(rng, units, channels, scale=3)
+    _, (_, (_, gates), _, _) = _layer_forward(GRULayer(units), weights, rng.normal(size=(8, 6, channels)))
+    zr = gates[:, :, : 2 * units]  # each step's update and reset gates
+    assert np.all((zr > 0) & (zr < 1))
+
+
+def test_gru_layer_matches_textbook_steps():
+    rng = np.random.default_rng(11)
+    units, channels, steps = 6, 3, 9
+    weights = _gru_weights(rng, units, channels)
+    x = rng.normal(size=(7, steps, channels))
+    h = np.zeros((7, units))
+    for t in range(steps):
+        h = gru_step(weights, x[:, t], h)
+    out, _ = _layer_forward(GRULayer(units), weights, x)
+    # Bound fixed before measuring: float64 rounding of the folded input
+    # projection and of the tanh form of the gates.
+    assert np.abs(out - h).max() <= 1e-12
 
 
 def test_params_serialize_round_trip_bit_exact(tmp_path):
@@ -362,9 +363,9 @@ def test_bit_window_kernel_runs_each_distinct_window_once(monkeypatch, name):
     kernel = BitWindowKernel(spec, params)
     scanned = []
 
-    def counting_scan(folded, index, *weights):
+    def counting_scan(folded, index, *weights, keep=False):
         scanned.append(len(index))
-        return scan(folded, index, *weights)
+        return scan(folded, index, *weights, keep=keep)
 
     scan = amisim.nn.model._gru_scan
     monkeypatch.setattr(amisim.nn.model, "_gru_scan", counting_scan)

@@ -251,3 +251,11 @@ def test_input_chooses_the_path(monkeypatch, kind):
     assert np.abs(out - ref).max() <= 1e-12
     assert np.abs(grads[1]["W"] - ref_grads[1]["W"]).max() <= 1e-12
     assert np.abs(predict_proba(spec, params, x) - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["binary", "two-channel"])
+def test_predict_proba_of_no_rows_is_empty(kind):
+    channels = 1 if kind == "binary" else 2
+    spec = ModelSpec(2, channels, _toy_spec().layers, 2)
+    out = predict_proba(spec, init_params(spec, seed=0), np.zeros((0, 2, channels)))
+    assert out.shape == (0, 2)
