@@ -3,9 +3,11 @@
 Multiplying two ciphertexts modulo n^2 adds their plaintexts modulo n,
 which is what lets an untrusted aggregator sum meter readings it cannot
 read. Keys use the g = n + 1 variant, so encryption needs a single modular
-exponentiation. The private key keeps the primes p and q, and decryption
-works modulo p^2 and q^2 with half-size exponents, then joins the two
-halves by the Chinese remainder theorem (Paillier, EUROCRYPT 1999, sec. 7).
+exponentiation, r^n mod n^2, which does not depend on the plaintext and
+can be computed ahead (randomizers). The private key keeps the primes p
+and q, and decryption works modulo p^2 and q^2 with half-size exponents,
+then joins the two halves by the Chinese remainder theorem (Paillier,
+EUROCRYPT 1999, sec. 7).
 
 Key sizes below 2048 bits are for tests only; they keep the algebra intact
 but offer no real security margin.
@@ -124,11 +126,21 @@ def paillier_keygen(bits: int = DEFAULT_KEY_BITS, rng: random.Random | None = No
     raise CryptoError("key generation failed after bounded retries")
 
 
-def _draw_r(pk: PaillierPublicKey, rng) -> int:
+def draw_r(pk: PaillierPublicKey, rng) -> int:
+    """A one-time r in Z_n*, drawn from rng."""
     while True:
         r = rng.randrange(1, pk.n)
         if math.gcd(r, pk.n) == 1:
             return r
+
+
+def randomizers(n: int, n_sq: int, rs) -> list[int]:
+    """The offline half of encryption: r^n mod n^2 for each r in rs.
+
+    It needs no plaintext and only public values, so it can run before the
+    readings exist and in another process (Paillier, EUROCRYPT 1999, sec. 7).
+    """
+    return [pow(r, n, n_sq) for r in rs]
 
 
 def encrypt(
@@ -136,21 +148,28 @@ def encrypt(
     m: int,
     r: int | None = None,
     rng: random.Random | None = None,
+    randomizer: int | None = None,
 ) -> Ciphertext:
-    """Encrypt m in [0, n) under a one-time random r in Z_n*.
+    """Encrypt m in [0, n) as (1 + m n) R mod n^2, R = r^n mod n^2.
 
-    Reusing r across messages leaks plaintext differences, so r defaults
-    to a fresh draw per call (from rng when given, else the OS).
+    r is one-time and in Z_n*: reusing it across messages leaks plaintext
+    differences. R may come precomputed (see randomizers), which leaves one
+    multiply online; otherwise r defaults to a fresh draw per call (from rng
+    when given, else the OS). Both ways give the same ciphertext for the
+    same r.
     """
     if not isinstance(m, int) or not 0 <= m < pk.n:
         raise CryptoError(f"plaintext must be an int in [0, n), got {m!r}")
-    if r is None:
-        r = _draw_r(pk, rng if rng is not None else random.SystemRandom())
-    else:
-        if not 1 <= r < pk.n or math.gcd(r, pk.n) != 1:
+    if randomizer is None:
+        if r is None:
+            r = draw_r(pk, rng if rng is not None else random.SystemRandom())
+        elif not 1 <= r < pk.n or math.gcd(r, pk.n) != 1:
             raise CryptoError("r must be in the multiplicative group Z_n*")
+        randomizer = pow(r, pk.n, pk.n_sq)
+    elif r is not None or not 0 < randomizer < pk.n_sq:
+        raise CryptoError("a randomizer must be in (0, n^2) and come without r")
     g_m = (1 + m * pk.n) % pk.n_sq  # (n + 1)^m mod n^2
-    return Ciphertext(value=(g_m * pow(r, pk.n, pk.n_sq)) % pk.n_sq)
+    return Ciphertext(value=(g_m * randomizer) % pk.n_sq)
 
 
 def decrypt(sk: PaillierPrivateKey, pk: PaillierPublicKey, c: Ciphertext) -> int:

@@ -184,8 +184,3 @@ def predict_proba(spec, params, x):
             return forward(spec, params, chunk)[0]
     outs = [model(x[start : start + PREDICT_BATCH]) for start in range(0, len(x), PREDICT_BATCH)]
     return np.concatenate(outs, axis=0)
-
-
-def accuracy(spec, params, x, labels) -> float:
-    probs = predict_proba(spec, params, x)
-    return float((np.argmax(probs, axis=1) == np.asarray(labels)).mean())

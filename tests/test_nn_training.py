@@ -14,7 +14,6 @@ from amisim.nn import (
     GRULayer,
     ModelSpec,
     TrainConfig,
-    accuracy,
     adam_step,
     binary_cross_entropy,
     cross_entropy,
@@ -136,7 +135,7 @@ def test_train_toy_separable():
     config = TrainConfig(epochs=50, batch_size=16, learning_rate=0.01, rng_seed=42)
     params, history = train(spec, x, labels, config)
     assert history[-1]["accuracy"] >= 0.99
-    assert accuracy(spec, params, x, labels) >= 0.99
+    assert (np.argmax(predict_proba(spec, params, x), axis=1) == labels).mean() >= 0.99
 
 
 def test_train_zero_epochs_returns_initial():

@@ -7,10 +7,12 @@ from amisim.crypto import (
     Ciphertext,
     decode_reading,
     decrypt,
+    draw_r,
     encode_reading,
     encrypt,
     hom_add,
     paillier_keygen,
+    randomizers,
 )
 from amisim.errors import CryptoError, EncodingRangeError
 
@@ -70,6 +72,29 @@ def test_encrypt_rejects_bad_r(keys):
         encrypt(pk, 1, r=0)
     with pytest.raises(CryptoError):
         encrypt(pk, 1, r=pk.n)
+
+
+def test_encrypt_with_precomputed_randomizer_matches_online(keys):
+    pk, sk = keys
+    rng = random.Random(31)
+    rs = [draw_r(pk, rng) for _ in range(5)]
+    offline = randomizers(pk.n, pk.n_sq, rs)
+    for m, r, randomizer in zip([0, 1, 7, pk.n - 1, 10**6], rs, offline):
+        c = encrypt(pk, m, randomizer=randomizer)
+        assert c == encrypt(pk, m, r=r)
+        assert decrypt(sk, pk, c) == m
+    # A drawn r is the same r whether drawn here or inside encrypt.
+    assert encrypt(pk, 9, rng=random.Random(31)) == encrypt(pk, 9, randomizer=offline[0])
+
+
+def test_encrypt_rejects_bad_randomizer(keys):
+    pk, _ = keys
+    good = randomizers(pk.n, pk.n_sq, [0x1234567])[0]
+    for bad in (0, pk.n_sq):
+        with pytest.raises(CryptoError):
+            encrypt(pk, 1, randomizer=bad)
+    with pytest.raises(CryptoError):
+        encrypt(pk, 1, r=0x1234567, randomizer=good)
 
 
 def test_encrypt_rejects_out_of_range(keys):

@@ -5,9 +5,10 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+import amisim.protocol as protocol
 from amisim.cat import CatConfig, patterns_for_traces
 from amisim.cli import main
-from amisim.crypto import decrypt, encode_reading
+from amisim.crypto import PaillierPublicKey, decrypt, draw_r, encode_reading, encrypt, randomizers
 from amisim.crypto.paillier import PaillierPrivateKey
 from amisim.data import (
     ConsumptionTrace, PresenceLabel, SyntheticConfig, format_day_key, synthesize, write_traces_csv,
@@ -93,6 +94,22 @@ def test_sm_report_rerandomizes_equal_plaintexts(system):
     m2 = sm_report(params, sm, 1.0, PresenceLabel.PRESENT, CAT30, 1_000 + SLOT_MS, force=True)
     assert m1 is not None and m2 is not None
     assert m1.ciphertext != m2.ciphertext  # same reading, fresh randomness
+
+
+@pytest.mark.parametrize("bits, seed", [(256, 1), (256, 2), (512, 3)])
+def test_sm_report_queued_randomizer_gives_the_online_message(bits, seed):
+    params, _, sm_keys, _ = kdc_setup(SetupConfig(sm_count=2, paillier_bits=bits, seed=seed))
+    pk = params.paillier_pk
+    online = SmState(sm_id="sm0001", keypair=sm_keys["sm0001"], rng=random.Random(seed))
+    queued = SmState(sm_id="sm0001", keypair=sm_keys["sm0001"], rng=random.Random(seed))
+    draws = random.Random(seed)
+    queued.randomizers.extend(randomizers(pk.n, pk.n_sq, [draw_r(pk, draws) for _ in range(4)]))
+    for slot, kwh in enumerate([1.5, 1.5, 0.0, 42.125]):
+        now = (slot + 1) * SLOT_MS
+        msg = sm_report(params, queued, kwh, None, CAT30, now, force=True)
+        assert msg == sm_report(params, online, kwh, None, CAT30, now, force=True), slot
+    assert not queued.randomizers
+    assert queued.rng.getstate() == random.Random(seed).getstate()  # the queue supplied every r
 
 
 def test_sm_report_clock_regression(system):
@@ -346,6 +363,126 @@ def test_run_simulation_deterministic():
     r2 = run_simulation(scenario)
     assert r1.recovered_encoded == r2.recovered_encoded
     assert r1.as_dict() == r2.as_dict()
+
+
+def _small_scenario(seed, bits):
+    traces, truth = synthesize(SyntheticConfig(consumer_count=4, day_count=1, rng_seed=seed))
+    return SimScenario(traces=traces, presence=truth, cat=CAT30, seed=seed, paillier_bits=bits)
+
+
+def _recorded_run(monkeypatch, scenario, cpus):
+    """run_simulation with usable_cpus() = cpus; returns the report, the
+    public key and (sender, plaintext, ciphertext) of each message in order."""
+    keys, senders, encrypted = [], [], []
+    real_setup, real_report, real_encrypt = kdc_setup, sm_report, encrypt
+
+    def setup(config):
+        keys.append(real_setup(config))
+        return keys[-1]
+
+    def report(params, state, *args, **kwargs):
+        senders.append(state.sm_id)
+        return real_report(params, state, *args, **kwargs)
+
+    def encrypt_recorded(pk, m, **kwargs):
+        c = real_encrypt(pk, m, **kwargs)
+        encrypted.append((m, c.value))
+        return c
+
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(protocol, "kdc_setup", setup)
+    monkeypatch.setattr(protocol, "sm_report", report)
+    monkeypatch.setattr(protocol, "encrypt", encrypt_recorded)
+    result = run_simulation(scenario)
+    monkeypatch.undo()
+    sent = [(sender, m, c) for sender, (m, c) in zip(senders, encrypted, strict=True)]
+    return result, keys[0][0].paillier_pk, sent
+
+
+@pytest.mark.parametrize("seed, bits", [(1, 256), (2, 256), (3, 512)])
+def test_run_simulation_messages_do_not_depend_on_worker_count(monkeypatch, seed, bits):
+    scenario = _small_scenario(seed, bits)
+    pooled, pk, sent = _recorded_run(monkeypatch, scenario, cpus=2)
+    in_process, _, sent_in_process = _recorded_run(monkeypatch, scenario, cpus=1)
+    assert pooled.all_exact and len(sent) == pooled.transmissions > 0
+    assert sent == sent_in_process
+    assert pooled.as_dict() == in_process.as_dict()
+    # Each ciphertext is the one-pass encryption, r drawn inside encrypt,
+    # from its meter's rng in sending order.
+    master = random.Random(seed)
+    rngs = {f"sm{i:04d}": random.Random(master.randrange(2**63)) for i in range(4)}
+    for sender, m, c in sent:
+        assert encrypt(pk, m, rng=rngs[sender]).value == c
+
+
+def test_run_simulation_workers_end_with_the_call_and_see_no_key(monkeypatch):
+    import multiprocessing
+    from multiprocessing.connection import Connection
+
+    jobs, keys = [], []
+    real_send, real_setup, real_collect = Connection.send, kdc_setup, aggregator_collect
+
+    def send(self, obj):  # runs in this process only, so it sees the jobs
+        jobs.append(obj)
+        return real_send(self, obj)
+
+    def setup(config):
+        keys.append(real_setup(config))
+        return keys[-1]
+
+    monkeypatch.setattr(Connection, "send", send)
+    monkeypatch.setattr(protocol, "kdc_setup", setup)
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+    scenario = _small_scenario(5, 256)
+    report = run_simulation(scenario)
+    assert report.all_exact
+    assert multiprocessing.active_children() == []
+    params, eu_sk = keys[0][:2]
+    pk = params.paillier_pk
+    assert sum(len(job[2]) for job in jobs) == report.transmissions
+    for job in jobs:
+        n, n_sq, rs = job
+        assert (n, n_sq) == (pk.n, pk.n_sq)
+        assert all(type(r) is int and 0 < r < pk.n for r in rs)
+        assert not {eu_sk.p, eu_sk.q} & set(rs)
+
+    slots = []
+
+    def collect_until_slot_3(*args):
+        slots.append(args[-1])
+        if len(slots) == 4:
+            raise RuntimeError("aggregator fails at slot 3")
+        return real_collect(*args)
+
+    monkeypatch.setattr(protocol, "aggregator_collect", collect_until_slot_3)
+    with pytest.raises(RuntimeError, match="slot 3"):
+        run_simulation(scenario)
+    assert multiprocessing.active_children() == []
+
+
+def test_offline_randomizers_finish_with_jobs_larger_than_a_pipe_buffer(monkeypatch):
+    # Jobs of 690 kB and results of 358 kB: a worker waiting to send a
+    # result must never face a parent waiting to send it a job.
+    import multiprocessing
+    import signal
+
+    def stalled(signum, frame):
+        raise TimeoutError("offline randomizers stalled")
+
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+    pk = PaillierPublicKey(n=(1 << 61) - 1)  # small, so each power is cheap
+    rng = random.Random(0)
+    draws = [[rng.getrandbits(256) for _ in range(20_000)] for _ in range(4)]
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    try:
+        with protocol._offline_randomizers(pk, iter(draws)) as ready:
+            results = list(ready)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert results == [randomizers(pk.n, pk.n_sq, rs) for rs in draws]
+    assert multiprocessing.active_children() == []
 
 
 def test_bn254_protocol_run_exact_and_drops_forgeries():
