@@ -110,6 +110,14 @@ def _load_truth(path) -> dict:
         raise DataFormatError(f"truth file {path}: bad 'labels' ({exc})") from None
 
 
+def _whole_days(path) -> list:
+    """The traces of the readings CSV at path, which must hold a whole day."""
+    traces = ingest_csv(path)
+    if not traces:
+        raise DataFormatError(f"{path}: no whole day of readings")
+    return traces
+
+
 def _cat(args) -> CatConfig:
     return CatConfig(threshold_percent=args.threshold, granularity_minutes=RATE_MINUTES[args.rate])
 
@@ -156,9 +164,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_prep(args) -> int:
-    traces = ingest_csv(args.traces)
-    if not traces:
-        raise DataFormatError(f"{args.traces}: no whole day of readings to label")
+    traces = _whole_days(args.traces)
     cat = _cat(args)
     patterns, _ = patterns_for_traces(traces, cat)
     bits = {key: p.bits for key, p in patterns.items()}
@@ -329,7 +335,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    traces = ingest_csv(args.traces)
+    traces = _whole_days(args.traces)
     truth = _load_truth(args.truth)
     cat = _cat(args)
     bundle = _bundle_from(args) if args.defense_params else None
@@ -360,7 +366,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    traces = ingest_csv(args.traces)
+    traces = _whole_days(args.traces)
     table = efficiency_table(traces, thresholds=args.thresholds, rates=args.rates)
     write_efficiency_csv(args.out, table)
     print(f"wrote {len(table)} efficiency cells -> {args.out}")

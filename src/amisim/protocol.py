@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import os
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +104,6 @@ class SmState:
     rng: random.Random
     last_reported: float | None = None
     last_ts_ms: int = -1
-    randomizers: deque = field(default_factory=deque)  # precomputed r^n mod n^2, oldest first
 
 
 @dataclass
@@ -159,6 +157,7 @@ def sm_report(
     cat: CatConfig,
     now_ms: int,
     force: bool = False,
+    randomizer: int | None = None,
 ) -> ReadingMsg | None:
     """Per-slot meter logic; returns a signed ciphertext or None.
 
@@ -168,11 +167,10 @@ def sm_report(
     schedule this way). presence is unused; it stays the fourth positional
     argument for callers that pass it. Each transmission carries a fresh
     encryption of the actual reading, so equal plaintexts still produce
-    different bytes on the wire. Its randomizer r^n mod n^2 is the next one
-    in state.randomizers, computed offline (run_simulation fills the queue
-    from r values it draws from state.rng in sending order); with the queue
-    empty it is computed here from a fresh r drawn from state.rng. Both ways
-    give the same message.
+    different bytes on the wire. randomizer is its r^n mod n^2 computed
+    offline (run_simulation passes one for each transmission, from an r
+    drawn from state.rng in sending order); without one, encrypt draws a
+    fresh r from state.rng. Both ways give the same message for the same r.
     """
     if now_ms <= state.last_ts_ms:
         raise ProtocolError(f"{state.sm_id}: clock regression at {now_ms}")
@@ -186,10 +184,7 @@ def sm_report(
         return None
     state.last_reported = float(reading_kwh)
     m = encode_reading(reading_kwh, pk=params.paillier_pk, meter_count=len(params.sm_publics))
-    if state.randomizers:
-        c = encrypt(params.paillier_pk, m, randomizer=state.randomizers.popleft())
-    else:
-        c = encrypt(params.paillier_pk, m, rng=state.rng)
+    c = encrypt(params.paillier_pk, m, rng=state.rng, randomizer=randomizer)
     payload = canonical_payload(c.value, now_ms)
     sigma = sign(state.keypair.x, payload, params.suite)
     return ReadingMsg(
@@ -338,75 +333,65 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _randomizer_worker(link):
-    """Answer each (n, n^2, r list) job on link with its randomizers, until
-    killed or until the parent's end closes."""
-    with contextlib.suppress(EOFError):
-        while True:
-            link.send(randomizers(*link.recv()))
+def _randomizer_stream(pk: PaillierPublicKey, rngs, senders, first=0, step=1):
+    """Yield the r^n mod n^2 list of every slot t with t % step == first.
+
+    senders[t] lists the meters that send in slot t. Every slot draws each
+    sender's r from rngs[m], also the slots it skips, so each meter's draws
+    stay in sending order whatever first and step are.
+    """
+    for t, row in enumerate(senders):
+        rs = [draw_r(pk, rngs[m]) for m in row]
+        if t % step == first:
+            yield randomizers(pk.n, pk.n_sq, rs)
+
+
+def _randomizer_worker(link, pk, rngs, senders, first, step):
+    """Send the randomizer lists of the slots t % step == first on link, in order."""
+    for slot_randomizers in _randomizer_stream(pk, rngs, senders, first, step):
+        link.send(slot_randomizers)
 
 
 @contextlib.contextmanager
-def _offline_randomizers(pk: PaillierPublicKey, draws):
-    """Yield an iterator over the r^n mod n^2 list of each r list in draws.
+def _offline_randomizers(pk: PaillierPublicKey, rngs, senders):
+    """Yield an iterator over the slots' lists of _randomizer_stream.
 
-    With more than one usable CPU, one worker process per CPU computes them,
-    each one list ahead of the one consumed (see _round_robin), so memory
-    stays flat; a job carries n, n^2 and the r values, and no key. With one
-    CPU they are computed in-process as they are consumed. The workers hold
-    nothing else, and are killed on exit, also when the caller raises.
+    With W > 1 usable CPUs, worker k of W runs the stream for the slots
+    t % W == k and sends each list on its own one-way pipe; slot t is read
+    from worker t % W. Workers never receive, so no process waits on
+    another's send, and a full pipe holds its worker back, so memory stays
+    flat. A worker is given pk, the rngs and senders, never a key, and is
+    killed on exit, also when the caller raises. With one CPU the stream
+    runs in-process as it is consumed.
     """
     workers = usable_cpus()
     if workers < 2:
-        yield (randomizers(pk.n, pk.n_sq, rs) for rs in draws)
+        yield _randomizer_stream(pk, rngs, senders)
         return
     import multiprocessing
 
     # Fork, not spawn: a spawned worker imports the package afresh, 0.4-0.5 s
     # a call against 0.01 s, and these workers only raise integers to powers.
-    # Plain pipes, not a concurrent.futures pool: with its helper threads and
-    # imports, the benchmark's collect workload peaked 2.4 MB higher, not 0.8.
+    # Plain pipes, not a pool: with its helper threads and imports, the
+    # benchmark's collect workload peaked 1-3 MB higher.
     start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     context = multiprocessing.get_context(start)
     links, procs = [], []
     try:
-        for _ in range(workers):
-            link, child = context.Pipe()
-            procs.append(context.Process(target=_randomizer_worker, args=(child,), daemon=True))
+        for k in range(workers):
+            link, child = context.Pipe(duplex=False)
+            args = (child, pk, rngs, senders, k, workers)
+            procs.append(context.Process(target=_randomizer_worker, args=args, daemon=True))
             procs[-1].start()
             child.close()
             links.append(link)
-        jobs = ((pk.n, pk.n_sq, rs) for rs in draws)
-        yield _round_robin(links, jobs)
+        yield (links[t % workers].recv() for t in range(len(senders)))
     finally:
         for proc in procs:
             proc.kill()
             proc.join()
         for link in links:
             link.close()
-
-
-def _round_robin(links, jobs):
-    """Each job's result, in order: job i goes to links[i % len(links)].
-
-    A link gets its next job right after its last result is read, so every
-    worker has one job in flight and none has an unread result when a job
-    is sent. With more jobs per worker in flight, a worker waiting to send
-    a result larger than the pipe's buffer could face a parent waiting to
-    send it a job: jobs of 8,000 randomizers at 256 bits deadlocked so.
-    """
-    count = 0
-    for i, job in enumerate(jobs):
-        link = links[i % len(links)]
-        if i >= len(links):
-            result = link.recv()  # job i - len(links)'s
-            link.send(job)
-            yield result
-        else:
-            link.send(job)
-        count = i + 1
-    for i in range(max(count - len(links), 0), count):
-        yield links[i % len(links)].recv()
 
 
 def run_simulation(scenario: SimScenario) -> SimulationReport:
@@ -422,8 +407,8 @@ def run_simulation(scenario: SimScenario) -> SimulationReport:
     change- and defense-triggered sends alike) and the utility views come
     straight from the schedule. Encryption is split: each sending meter's
     r values are drawn from its rng in sending order, and their r^n mod n^2
-    are computed ahead of their slots (see _offline_randomizers) and queued
-    on the meter, so a slot encrypts with one multiply per message.
+    are computed ahead of their slots (see _offline_randomizers) and handed
+    to sm_report, so a slot encrypts with one multiply per message.
     """
     cat = scenario.cat
     working = [resample(t, cat.granularity_minutes) for t in scenario.traces]
@@ -469,15 +454,14 @@ def run_simulation(scenario: SimScenario) -> SimulationReport:
     recovered = []
     expected = []
     senders = [np.flatnonzero(column) for column in bits.T]
-    draws = ([draw_r(params.paillier_pk, sms[m].rng) for m in row] for row in senders)
-    with _offline_randomizers(params.paillier_pk, draws) as ready:
+    with _offline_randomizers(params.paillier_pk, [sm.rng for sm in sms], senders) as ready:
         for t, (row, slot_randomizers) in enumerate(zip(senders, ready)):
             now = SIM_EPOCH_MS + t * slot_ms
             msgs = []
             for m, randomizer in zip(row, slot_randomizers):
-                sms[m].randomizers.append(randomizer)
                 reading = float(held[m, t])
-                msgs.append(sm_report(params, sms[m], reading, None, cat, now, force=True))
+                msgs.append(sm_report(params, sms[m], reading, None, cat, now,
+                                      force=True, randomizer=randomizer))
                 shadow[m] = encode_reading(reading)
             agg_msg = aggregator_collect(params, agg, msgs, now)
             recovered.append(eu_recover(params, eu, agg_msg, now).total_encoded)

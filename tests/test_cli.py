@@ -301,10 +301,16 @@ def test_corpus_without_whole_day_exits_3(tmp_path, capsys):
     traces = tmp_path / "one-row.csv"
     traces.write_text("consumer_id,timestamp_iso8601,kwh\na,2016-01-01T00:00:00,0.005\n")
     labeled = tmp_path / "labeled.jsonl"
-    prep = ["prep", "--traces", str(traces), "--rate", "per5min", "--out", str(labeled)]
-    assert main(prep) == 3
-    assert "no whole day" in capsys.readouterr().err
-    assert not labeled.exists()
+    truth = tmp_path / "truth.json"
+    truth.write_text('{"labels": {}}')
+    for command, out in (
+        (["prep", "--rate", "per5min"], labeled),
+        (["simulate", "--truth", str(truth), "--rate", "per5min"], tmp_path / "sim.json"),
+        (["efficiency"], tmp_path / "eff.csv"),
+    ):
+        assert main([*command, "--traces", str(traces), "--out", str(out)]) == 3, command[0]
+        assert "no whole day" in capsys.readouterr().err
+        assert not out.exists()
     labeled.write_text("")  # what prep used to write for such a corpus
     for command in (
         ["train", "--target", "attacker", "--out", str(tmp_path / "a.bin")],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from datetime import date, timedelta
@@ -10,6 +11,7 @@ from amisim.cat import CatConfig, patterns_for_traces
 from amisim.cli import main
 from amisim.crypto import PaillierPublicKey, decrypt, draw_r, encode_reading, encrypt, randomizers
 from amisim.crypto.paillier import PaillierPrivateKey
+from amisim.crypto.signatures import SigKeypair
 from amisim.data import (
     ConsumptionTrace, PresenceLabel, SyntheticConfig, format_day_key, synthesize, write_traces_csv,
 )
@@ -97,19 +99,18 @@ def test_sm_report_rerandomizes_equal_plaintexts(system):
 
 
 @pytest.mark.parametrize("bits, seed", [(256, 1), (256, 2), (512, 3)])
-def test_sm_report_queued_randomizer_gives_the_online_message(bits, seed):
+def test_sm_report_precomputed_randomizer_gives_the_online_message(bits, seed):
     params, _, sm_keys, _ = kdc_setup(SetupConfig(sm_count=2, paillier_bits=bits, seed=seed))
     pk = params.paillier_pk
     online = SmState(sm_id="sm0001", keypair=sm_keys["sm0001"], rng=random.Random(seed))
-    queued = SmState(sm_id="sm0001", keypair=sm_keys["sm0001"], rng=random.Random(seed))
+    offline = SmState(sm_id="sm0001", keypair=sm_keys["sm0001"], rng=random.Random(seed))
     draws = random.Random(seed)
-    queued.randomizers.extend(randomizers(pk.n, pk.n_sq, [draw_r(pk, draws) for _ in range(4)]))
     for slot, kwh in enumerate([1.5, 1.5, 0.0, 42.125]):
         now = (slot + 1) * SLOT_MS
-        msg = sm_report(params, queued, kwh, None, CAT30, now, force=True)
+        (randomizer,) = randomizers(pk.n, pk.n_sq, [draw_r(pk, draws)])
+        msg = sm_report(params, offline, kwh, None, CAT30, now, force=True, randomizer=randomizer)
         assert msg == sm_report(params, online, kwh, None, CAT30, now, force=True), slot
-    assert not queued.randomizers
-    assert queued.rng.getstate() == random.Random(seed).getstate()  # the queue supplied every r
+    assert offline.rng.getstate() == random.Random(seed).getstate()  # every r came precomputed
 
 
 def test_sm_report_clock_regression(system):
@@ -299,13 +300,9 @@ def test_run_simulation_with_defense_stays_exact():
             assert bits.sum() == len(bits)  # constant-fire defense fills the day
 
 
-def test_run_simulation_replays_defended_schedule():
-    # A random-init defense fires on some, not all, of the absent slots the
-    # change rule leaves silent; the protocol sends exactly the
-    # simulate_corpus schedule and the utility holds its views.
-    from amisim.cat import cat_decide
-    from amisim.data import resample
-    from amisim.defense import DefenseBundle, simulate_corpus
+def _random_init_defense():
+    """A 6-slot defense that fires on some, not all, silent absent slots."""
+    from amisim.defense import DefenseBundle
     from amisim.nn import Activation, Dense, Flatten, ModelSpec, init_params
 
     spec = ModelSpec(
@@ -318,6 +315,18 @@ def test_run_simulation_replays_defended_schedule():
     traces, truth = synthesize(
         SyntheticConfig(consumer_count=4, day_count=2, rng_seed=2, absence_probability=0.5)
     )
+    return bundle, traces, truth
+
+
+def test_run_simulation_replays_defended_schedule():
+    # A random-init defense fires on some, not all, of the absent slots the
+    # change rule leaves silent; the protocol sends exactly the
+    # simulate_corpus schedule and the utility holds its views.
+    from amisim.cat import cat_decide
+    from amisim.data import resample
+    from amisim.defense import simulate_corpus
+
+    bundle, traces, truth = _random_init_defense()
     scenario = SimScenario(
         traces=traces, presence=truth, cat=CAT30, defense=bundle, seed=5, paillier_bits=256
     )
@@ -365,6 +374,29 @@ def test_run_simulation_deterministic():
     assert r1.as_dict() == r2.as_dict()
 
 
+@pytest.mark.parametrize("defended, seed", [(False, 5), (False, 9), (True, 5)])
+def test_run_simulation_reversed_meters_keep_totals_and_views(defended, seed):
+    # Metamorphic: reversing the meters gives each consumer another meter id,
+    # signing key and rng, and must change no total and no consumer-day view.
+    if defended:
+        bundle, traces, truth = _random_init_defense()
+    else:
+        traces, truth = synthesize(SyntheticConfig(consumer_count=6, day_count=2, rng_seed=3))
+        bundle = None
+    forward, backward = (
+        run_simulation(SimScenario(traces=order, presence=truth, cat=CAT30, defense=bundle,
+                                   seed=seed, paillier_bits=256))
+        for order in (traces, traces[::-1])
+    )
+    assert forward.all_exact and backward.all_exact
+    assert forward.recovered_encoded == backward.recovered_encoded
+    assert forward.transmissions == backward.transmissions
+    assert forward.efficiency_percent == backward.efficiency_percent
+    assert forward.attacker_view.keys() == backward.attacker_view.keys()
+    for key, bits in forward.attacker_view.items():
+        assert np.array_equal(bits, backward.attacker_view[key]), key
+
+
 def _small_scenario(seed, bits):
     traces, truth = synthesize(SyntheticConfig(consumer_count=4, day_count=1, rng_seed=seed))
     return SimScenario(traces=traces, presence=truth, cat=CAT30, seed=seed, paillier_bits=bits)
@@ -402,11 +434,12 @@ def _recorded_run(monkeypatch, scenario, cpus):
 @pytest.mark.parametrize("seed, bits", [(1, 256), (2, 256), (3, 512)])
 def test_run_simulation_messages_do_not_depend_on_worker_count(monkeypatch, seed, bits):
     scenario = _small_scenario(seed, bits)
-    pooled, pk, sent = _recorded_run(monkeypatch, scenario, cpus=2)
-    in_process, _, sent_in_process = _recorded_run(monkeypatch, scenario, cpus=1)
-    assert pooled.all_exact and len(sent) == pooled.transmissions > 0
-    assert sent == sent_in_process
-    assert pooled.as_dict() == in_process.as_dict()
+    in_process, pk, sent = _recorded_run(monkeypatch, scenario, cpus=1)
+    assert in_process.all_exact and len(sent) == in_process.transmissions > 0
+    for cpus in (2, 3):  # worker k of W computes the slots t % W == k
+        pooled, _, sent_pooled = _recorded_run(monkeypatch, scenario, cpus=cpus)
+        assert sent_pooled == sent, cpus
+        assert pooled.as_dict() == in_process.as_dict(), cpus
     # Each ciphertext is the one-pass encryption, r drawn inside encrypt,
     # from its meter's rng in sending order.
     master = random.Random(seed)
@@ -415,36 +448,51 @@ def test_run_simulation_messages_do_not_depend_on_worker_count(monkeypatch, seed
         assert encrypt(pk, m, rng=rngs[sender]).value == c
 
 
+def _reachable(obj):
+    """obj and all it holds: items, dataclass fields, array entries, rng states."""
+    yield obj
+    if isinstance(obj, random.Random):
+        yield from _reachable(obj.getstate())
+    elif isinstance(obj, np.ndarray):
+        yield from _reachable(obj.tolist())
+    elif dataclasses.is_dataclass(obj):
+        yield from _reachable([getattr(obj, f.name) for f in dataclasses.fields(obj)])
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _reachable(item)
+
+
 def test_run_simulation_workers_end_with_the_call_and_see_no_key(monkeypatch):
     import multiprocessing
-    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
-    jobs, keys = [], []
-    real_send, real_setup, real_collect = Connection.send, kdc_setup, aggregator_collect
+    given, keys = [], []
+    real_start, real_setup, real_collect = BaseProcess.start, kdc_setup, aggregator_collect
 
-    def send(self, obj):  # runs in this process only, so it sees the jobs
-        jobs.append(obj)
-        return real_send(self, obj)
+    def start(self):  # runs in this process, before the worker exists
+        given.append(self._args)
+        return real_start(self)
 
     def setup(config):
         keys.append(real_setup(config))
         return keys[-1]
 
-    monkeypatch.setattr(Connection, "send", send)
+    monkeypatch.setattr(BaseProcess, "start", start)
     monkeypatch.setattr(protocol, "kdc_setup", setup)
     monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
     scenario = _small_scenario(5, 256)
     report = run_simulation(scenario)
     assert report.all_exact
     assert multiprocessing.active_children() == []
-    params, eu_sk = keys[0][:2]
-    pk = params.paillier_pk
-    assert sum(len(job[2]) for job in jobs) == report.transmissions
-    for job in jobs:
-        n, n_sq, rs = job
-        assert (n, n_sq) == (pk.n, pk.n_sq)
-        assert all(type(r) is int and 0 < r < pk.n for r in rs)
-        assert not {eu_sk.p, eu_sk.q} & set(rs)
+    params, eu_sk, sm_keys, agg_key = keys[0]
+    secrets = {eu_sk.p, eu_sk.q, agg_key.x, *(kp.x for kp in sm_keys.values())}
+    assert [args[-2:] for args in given] == [(0, 2), (1, 2)]
+    for link, pk, *rest in given:
+        assert link.writable and not link.readable  # a worker only sends
+        assert pk == params.paillier_pk
+        reached = list(_reachable(rest))
+        assert not [o for o in reached if isinstance(o, (PaillierPrivateKey, SigKeypair))]
+        assert not secrets & {o for o in reached if type(o) is int}
 
     slots = []
 
@@ -460,9 +508,9 @@ def test_run_simulation_workers_end_with_the_call_and_see_no_key(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_offline_randomizers_finish_with_jobs_larger_than_a_pipe_buffer(monkeypatch):
-    # Jobs of 690 kB and results of 358 kB: a worker waiting to send a
-    # result must never face a parent waiting to send it a job.
+def test_offline_randomizers_finish_with_results_larger_than_a_pipe_buffer(monkeypatch):
+    # Slots of 20,000 randomizers, about 340 kB each: a worker fills its pipe
+    # long before the parent reads the slot, and must wait for it.
     import multiprocessing
     import signal
 
@@ -471,17 +519,18 @@ def test_offline_randomizers_finish_with_jobs_larger_than_a_pipe_buffer(monkeypa
 
     monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
     pk = PaillierPublicKey(n=(1 << 61) - 1)  # small, so each power is cheap
-    rng = random.Random(0)
-    draws = [[rng.getrandbits(256) for _ in range(20_000)] for _ in range(4)]
+    senders = [np.arange(20_000) % 3 for _ in range(5)]
     previous = signal.signal(signal.SIGALRM, stalled)
     signal.alarm(60)
     try:
-        with protocol._offline_randomizers(pk, iter(draws)) as ready:
+        with protocol._offline_randomizers(pk, [random.Random(m) for m in range(3)],
+                                           senders) as ready:
             results = list(ready)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert results == [randomizers(pk.n, pk.n_sq, rs) for rs in draws]
+    rngs = [random.Random(m) for m in range(3)]
+    assert results == list(protocol._randomizer_stream(pk, rngs, senders))
     assert multiprocessing.active_children() == []
 
 
