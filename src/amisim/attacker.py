@@ -48,6 +48,9 @@ class AttackClass(Enum):
     SPOOFING = 2
 
 
+POSITIVE_CLASS = AttackClass.ABSENT.value  # SR and FA count absence as positive
+
+
 def build_attacker(rate: str) -> ModelSpec:
     """2-class CNN over one day of transmission bits."""
     length = slots_per_day(rate_minutes(rate))
@@ -185,16 +188,16 @@ def confusion_matrix(true_labels, predicted, classes: int):
     return matrix
 
 
-def sr_fa_from_confusion(matrix, positive: int = AttackClass.ABSENT.value):
-    """Verbatim SR = TP/(TP+FP) and FA = FP/(TN+FN) for a 2x2 matrix.
+def sr_fa_from_confusion(matrix):
+    """Verbatim SR = TP/(TP+FP) and FA = FP/(TN+FN) for a 2x2 matrix whose
+    positive class is POSITIVE_CLASS.
 
     Zero denominators report 0.0 with a flag instead of raising.
     """
     matrix = np.asarray(matrix)
-    tp = int(matrix[positive, positive])
-    fp = int(matrix[1 - positive, positive])
-    tn = int(matrix[1 - positive, 1 - positive])
-    fn = int(matrix[positive, 1 - positive])
+    pos, neg = POSITIVE_CLASS, 1 - POSITIVE_CLASS
+    tp, fp = int(matrix[pos, pos]), int(matrix[neg, pos])
+    tn, fn = int(matrix[neg, neg]), int(matrix[pos, neg])
     flags = []
     sr = tp / (tp + fp) if tp + fp else 0.0
     if tp + fp == 0:

@@ -157,7 +157,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    traces = ingest_csv(args.infile)
+    traces = _whole_days(args.infile)
     write_traces_csv(args.out, traces)
     print(f"ingested {len(traces)} traces ({sum(t.day_count for t in traces)} days)")
     return 0

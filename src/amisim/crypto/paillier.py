@@ -25,6 +25,8 @@ DEFAULT_KEY_BITS = 2048
 TEST_KEY_BITS_MIN = 256
 
 READING_SCALE = 1000  # fixed point at 1 Wh
+MILLER_RABIN_ROUNDS = 40  # a composite passes with probability below 4**-40
+PRIME_MAX_TRIES = 100000  # random candidates per prime before giving up
 
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -66,7 +68,7 @@ class Ciphertext:
     value: int
 
 
-def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
+def _is_probable_prime(n: int, rng: random.Random) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -77,7 +79,7 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -91,12 +93,12 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
     return True
 
 
-def _random_prime(bits: int, rng: random.Random, max_tries: int = 100000) -> int:
-    for _ in range(max_tries):
+def _random_prime(bits: int, rng: random.Random) -> int:
+    for _ in range(PRIME_MAX_TRIES):
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if _is_probable_prime(candidate, rng):
             return candidate
-    raise CryptoError(f"no {bits}-bit prime found after {max_tries} tries")
+    raise CryptoError(f"no {bits}-bit prime found after {PRIME_MAX_TRIES} tries")
 
 
 def paillier_keygen(bits: int = DEFAULT_KEY_BITS, rng: random.Random | None = None):

@@ -234,10 +234,11 @@ def _gru_scan(folded, index, w_zr, w_h, keep: bool = False):
     candidate sees the reset-scaled state, and z blends it into the carried
     state: h = (1 - z) * h + z * candidate.
 
-    Returns the last state, or with keep the stacked steps for backward:
-    hs (cells + 1, batch, units), the states from the zero state on, and
-    gates (cells, batch, 3 * units), each step's update gate, reset gate and
-    candidate, written over the gathered inputs.
+    Returns (last state, stacks). With keep, stacks holds the stacked
+    steps for backward: hs (cells + 1, batch, units), the states from the
+    zero state on, and gates (cells, batch, 3 * units), each step's update
+    gate, reset gate and candidate, written over the gathered inputs;
+    without keep, stacks is None.
     """
     units = w_h.shape[0]
     steps = folded[index.T]  # (cells, batch, 3 * units)
@@ -250,7 +251,7 @@ def _gru_scan(folded, index, w_zr, w_h, keep: bool = False):
         h = (1.0 - z) * h + z * h_cand
         if keep:
             a[:, : 2 * units], a[:, 2 * units :], hs[t + 1] = zr, h_cand, h
-    return (hs, steps) if keep else h
+    return h, ((hs, steps) if keep else None)
 
 
 def _input_batch(spec: ModelSpec, batch):
@@ -298,8 +299,8 @@ def _layer_forward(layer: LayerSpec, w: dict[str, np.ndarray], x):
         table = x.reshape(-1, c)
         index = np.arange(b_ * t_steps).reshape(b_, t_steps)
         folded, state = _fold_gru(w, table)
-        gru = _gru_scan(folded, index, *state, keep=True)
-        return gru[0][-1], ("gru", gru, index, table)
+        h, gru = _gru_scan(folded, index, *state, keep=True)
+        return h, ("gru", gru, index, table)
     if isinstance(layer, Flatten):
         return x.reshape(x.shape[0], -1), ("flatten", x.shape)
     out = ACTIVATIONS[layer.kind][0](x)
@@ -312,60 +313,6 @@ def _layer_forward(layer: LayerSpec, w: dict[str, np.ndarray], x):
 
 # Widest receptive field the prefix table may cover: 2**12 rows.
 TABLE_MAX_BITS = 12
-
-
-class BitPrefix:
-    """The leading layers of a single-channel network as a table over bit
-    patterns, for inputs that are 0/1 windows.
-
-    The longest leading run of stride-1 Conv1D, Activation and MaxPool1D
-    layers whose receptive field w stays within TABLE_MAX_BITS maps each
-    output cell, a window of w input bits every `stride` bits, to one of
-    2**w values. Those `count` layers run once, through the same per-layer
-    code as forward, over every w-bit pattern; `table` holds the outputs
-    (2**w, channels) and `caches` their backward caches. An empty prefix
-    makes each bit its own cell (w = 1). The output reads only a window's
-    first `span` bits, those of its `cells` cells: (cells - 1) * stride + w.
-    A pool that drops its input's last positions leaves the window's last
-    bits unread. The table is built from the given params and goes stale if
-    they change.
-    """
-
-    def __init__(self, spec: ModelSpec, params: Params):
-        width, stride, count = 1, 1, 0
-        for layer in spec.layers:
-            if isinstance(layer, Conv1D) and layer.stride == 1:
-                grown = width + (layer.kernel_size - 1) * stride
-            elif isinstance(layer, MaxPool1D):
-                grown = width + (layer.pool_size - 1) * stride
-            elif isinstance(layer, Activation):
-                grown = width
-            else:
-                break
-            if grown > TABLE_MAX_BITS:
-                break
-            width = grown
-            if isinstance(layer, MaxPool1D):
-                stride *= layer.pool_size
-            count += 1
-        self.count, self.width, self.stride = count, width, stride
-        self.cells = infer_shapes(spec)[count][1]
-        self.span = (self.cells - 1) * stride + width
-        self.place = 1 << np.arange(width)[::-1]
-        patterns = (np.arange(1 << width)[:, None] >> np.arange(width)[::-1]) & 1
-        table = patterns[:, :, None].astype(np.float64)
-        self.caches = []
-        for layer, w in zip(spec.layers[:count], params.weights[:count]):
-            table, cache = _layer_forward(layer, w, table)
-            self.caches.append(cache)
-        self.table = table[:, 0, :]  # (2**width, channels)
-
-    def index(self, bits):
-        """Each cell's pattern number, (batch, cells), for (batch, length) bits."""
-        cells = np.lib.stride_tricks.sliding_window_view(
-            bits.astype(np.intp), self.width, axis=1
-        )[:, :: self.stride][:, : self.cells]
-        return cells @ self.place
 
 
 def _pattern_sums(index, rows, patterns: int):
@@ -397,60 +344,78 @@ def is_bit_batch(spec: ModelSpec, batch: np.ndarray) -> bool:
 
 def table_forward(spec: ModelSpec, params: Params, batch):
     """forward for a batch of 0/1 windows of a single-channel network,
-    through the tables of a BitWindowKernel; returns (output, caches) for
+    through BitWindowKernel.run; returns (output, caches) for
     table_backward. Outputs match forward up to float64 rounding."""
-    x = _input_batch(spec, batch)
-    if ((x != 0) & (x != 1)).any():
-        raise DataFormatError("the table path takes only 0/1 inputs")
     kernel = BitWindowKernel(spec, params)
-    index = kernel.prefix.index(x[:, :, 0])
-    gru = None
-    if kernel.gru is None:
-        x = kernel.table[index]  # (batch, cells, channels)
-    else:
-        gru = _gru_scan(kernel.table, index, *kernel.gru, keep=True)
-        x = gru[0][-1]
-    caches = []
-    for layer, w in kernel.tail:
-        x, cache = _layer_forward(layer, w, x)
-        caches.append(cache)
-    return x, (kernel.prefix, index, gru, caches)
+    index = kernel.index(_input_batch(spec, batch)[:, :, 0])
+    out, gru, caches = kernel.run(index, keep=True)
+    return out, (kernel, index, gru, caches)
 
 
 class BitWindowKernel:
-    """Inference for a single-channel network whose inputs are 0/1 windows.
+    """A single-channel network on 0/1 windows: inference (a call) and the
+    table path of training (table_forward, table_backward).
 
-    A call maps each window to the pattern numbers of its BitPrefix cells
-    and gathers table rows by them. A GRULayer right after the prefix has
-    its input projection and biases folded into the table (Appleyard et
-    al., 2016), so each recurrence step computes only h @ [Wz_h | Wr_h] and
-    (r * h) @ Wh_h. Every later layer runs through the forward code.
-    Outputs match forward up to float64 rounding.
+    The prefix is the longest leading run of stride-1 Conv1D, Activation
+    and MaxPool1D layers whose receptive field w stays within
+    TABLE_MAX_BITS. Each of its output cells reads w input bits, one cell
+    every `stride` bits, so its `count` layers run once, through the same
+    per-layer code as forward, over every w-bit pattern: `prefix_table`
+    (2**w, channels) holds the outputs and `prefix_caches` their backward
+    caches. An empty prefix makes each bit its own cell (w = 1). The output
+    reads only a window's first `span` = (cells - 1) * stride + w bits; a
+    pool that drops its input's last positions leaves the last bits unread.
+    A GRULayer right after the prefix has its input projection and biases
+    folded into `table` (Appleyard et al., 2016), so each recurrence step
+    computes only h @ [Wz_h | Wr_h] and (r * h) @ Wh_h. Later layers run
+    through the forward code. Outputs match forward up to float64 rounding.
 
-    The kernel also keeps each output row under its window's cell indices,
-    so the gather, recurrence and later layers run once per distinct window
-    it is called with; windows that differ only from bit `span` on share a
-    row. The table and the memo hold for the params given at construction.
+    A call keeps each output row under its window's cell indices, so it
+    runs each distinct window once; windows that differ only from bit
+    `span` on share a row. Tables and memo hold for the params given.
     """
 
     def __init__(self, spec: ModelSpec, params: Params):
         if spec.input_channels != 1:
             raise ConfigError("bit-window inference needs a single input channel")
-        self.input_length = spec.input_length
-        self.classes = spec.output_classes
-        self.prefix = prefix = BitPrefix(spec, params)
-        self.width, self.stride, self.span = prefix.width, prefix.stride, prefix.span
-        table, self.gru = prefix.table, None
-        rest = prefix.count
-        if rest < len(spec.layers) and isinstance(spec.layers[rest], GRULayer):
-            table, self.gru = _fold_gru(params.weights[rest], table)
-            rest += 1
-        self.table = table
-        self.tail = list(zip(spec.layers[rest:], params.weights[rest:]))
+        self.input_length, self.classes = spec.input_length, spec.output_classes
+        width, stride, count = 1, 1, 0
+        for layer in spec.layers:
+            if isinstance(layer, Conv1D) and layer.stride == 1:
+                grown = width + (layer.kernel_size - 1) * stride
+            elif isinstance(layer, MaxPool1D):
+                grown = width + (layer.pool_size - 1) * stride
+            elif isinstance(layer, Activation):
+                grown = width
+            else:
+                break
+            if grown > TABLE_MAX_BITS:
+                break
+            width = grown
+            if isinstance(layer, MaxPool1D):
+                stride *= layer.pool_size
+            count += 1
+        self.count, self.width, self.stride = count, width, stride
+        self.cells = infer_shapes(spec)[count][1]
+        self.span = (self.cells - 1) * stride + width
+        self.place = 1 << np.arange(width)[::-1]
+        patterns = (np.arange(1 << width)[:, None] >> np.arange(width)[::-1]) & 1
+        table = patterns[:, :, None].astype(np.float64)
+        self.prefix_caches = []
+        for layer, w in zip(spec.layers[:count], params.weights[:count]):
+            table, cache = _layer_forward(layer, w, table)
+            self.prefix_caches.append(cache)
+        self.prefix_table = self.table = table[:, 0, :]  # (2**width, channels)
+        self.gru = None
+        if count < len(spec.layers) and isinstance(spec.layers[count], GRULayer):
+            self.table, self.gru = _fold_gru(params.weights[count], self.table)
+            count += 1
+        self.tail = list(zip(spec.layers[count:], params.weights[count:]))
         self.memo: dict[bytes, np.ndarray] = {}
 
-    def __call__(self, windows):
-        """Network output for a (batch, input_length) array of 0/1 bits."""
+    def index(self, windows):
+        """Each cell's pattern number, (batch, cells), for a
+        (batch, input_length) array of 0/1 bits."""
         bits = np.asarray(windows)
         if bits.ndim != 2 or bits.shape[1] != self.input_length:
             raise DimensionError(
@@ -458,22 +423,34 @@ class BitWindowKernel:
             )
         if ((bits != 0) & (bits != 1)).any():
             raise DataFormatError("bit-window inference takes only 0/1 inputs")
-        index = self.prefix.index(bits)
+        cells = np.lib.stride_tricks.sliding_window_view(
+            bits.astype(np.intp), self.width, axis=1
+        )[:, :: self.stride][:, : self.cells]
+        return cells @ self.place
+
+    def __call__(self, windows):
+        """Network output for a (batch, input_length) array of 0/1 bits."""
+        index = self.index(windows)
         keys = [row.tobytes() for row in index]
         unseen = {key: row for row, key in enumerate(keys) if key not in self.memo}
         if unseen:
-            self.memo.update(zip(unseen, self._evaluate(index[list(unseen.values())])))
+            self.memo.update(zip(unseen, self.run(index[list(unseen.values())])[0]))
         return np.array([self.memo[key] for key in keys]).reshape(len(keys), self.classes)
 
-    def _evaluate(self, index):
-        """Output rows for the windows of the given cell indices."""
+    def run(self, index, keep: bool = False):
+        """(output, GRU stacks, tail caches) for the windows of the given cell
+        indices; the stacks (None without a GRU) and the later layers' caches
+        are kept for table_backward only with keep."""
         if self.gru is None:
-            x = self.table[index]
+            x, gru = self.table[index], None
         else:
-            x = _gru_scan(self.table, index, *self.gru)
+            x, gru = _gru_scan(self.table, index, *self.gru, keep=keep)
+        caches = []
         for layer, w in self.tail:
-            x, _ = _layer_forward(layer, w, x)
-        return x
+            x, cache = _layer_forward(layer, w, x)
+            if keep:
+                caches.append(cache)
+        return x, gru, caches
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +465,31 @@ def output_kind(spec: ModelSpec) -> str:
     return last.kind
 
 
+# The loss and its gradient clamp probabilities to [LOG_CLAMP, 1 - LOG_CLAMP].
+LOG_CLAMP = 1e-12
+
+
+def regularized_weights(params: Params):
+    """(layer, key, array) for each array of the L2 term, in layer then key
+    order: the W arrays; biases are not regularized."""
+    return [(i, key, arr) for i, w in enumerate(params.weights)
+            for key, arr in w.items() if key.startswith("W")]
+
+
 def _head_gradient(spec: ModelSpec, out, y):
     """Gradient of the mean classification loss w.r.t. the head's output:
     categorical cross-entropy for a softmax head, per-unit Bernoulli
     cross-entropy for a sigmoid head."""
-    clamp = 1e-12
     if output_kind(spec) == "softmax":
-        return -(y / np.clip(out, clamp, None)) / len(out)
-    p = np.clip(out, clamp, 1.0 - clamp)
+        return -(y / np.clip(out, LOG_CLAMP, None)) / len(out)
+    p = np.clip(out, LOG_CLAMP, 1.0 - LOG_CLAMP)
     return (-(y / p) + (1.0 - y) / (1.0 - p)) / len(out)
 
 
 def _with_l2(params: Params, grads, l2_lambda: float):
     if l2_lambda:
-        for i, w in enumerate(params.weights):
-            for key, arr in w.items():
-                if key.startswith("W"):
-                    grads[i][key] = grads[i][key] + 2.0 * l2_lambda * arr
+        for i, key, arr in regularized_weights(params):
+            grads[i][key] = grads[i][key] + 2.0 * l2_lambda * arr
     return grads
 
 
@@ -534,7 +519,7 @@ def table_backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float 
     then backpropagated once through the prefix layers on the 2**w pattern
     rows. Gradients match backward up to float64 rounding.
     """
-    prefix, index, gru, tail_caches = caches
+    kernel, index, gru, tail_caches = caches
     dx = _head_gradient(spec, tail_caches[-1][2], y)
     grads: list[dict[str, np.ndarray]] = [{} for _ in spec.layers]
     first_tail = len(spec.layers) - len(tail_caches)
@@ -542,16 +527,16 @@ def table_backward(spec: ModelSpec, params: Params, caches, y, l2_lambda: float 
         grads[i], dx = _layer_backward(
             spec.layers[i], params.weights[i], tail_caches[i - first_tail], dx, i > 0
         )
-    count = prefix.count
+    count, table = kernel.count, kernel.prefix_table
     if gru is not None:
-        grads[count], dx = _gru_backward(params.weights[count], gru, dx, index, prefix.table)
+        grads[count], dx = _gru_backward(params.weights[count], gru, dx, index, table)
     elif count:
-        dx = _pattern_sums(index, dx, len(prefix.table))
+        dx = _pattern_sums(index, dx, len(table))
     if count:
         dx = dx[:, None, :]  # the prefix output of each pattern, one cell
     for i in range(count - 1, -1, -1):
         layer, w = spec.layers[i], params.weights[i]
-        grads[i], dx = _layer_backward(layer, w, prefix.caches[i], dx, i > 0)
+        grads[i], dx = _layer_backward(layer, w, kernel.prefix_caches[i], dx, i > 0)
     return _with_l2(params, grads, l2_lambda)
 
 

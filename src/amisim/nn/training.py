@@ -8,6 +8,7 @@ import numpy as np
 
 from amisim.errors import ConfigError, TrainingError
 from amisim.nn.model import (
+    LOG_CLAMP,
     BitWindowKernel,
     ModelSpec,
     Params,
@@ -16,11 +17,11 @@ from amisim.nn.model import (
     init_params,
     is_bit_batch,
     output_kind,
+    regularized_weights,
     table_backward,
     table_forward,
 )
 
-LOG_CLAMP = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -67,12 +68,7 @@ def _loss(spec, params, out, y, l2_lambda: float) -> float:
     data = cross_entropy(y, out) if kind == "softmax" else binary_cross_entropy(y, out)
     reg = 0.0
     if l2_lambda:
-        reg = l2_lambda * sum(
-            float((arr * arr).sum())
-            for w in params.weights
-            for key, arr in w.items()
-            if key.startswith("W")
-        )
+        reg = l2_lambda * sum(float((arr * arr).sum()) for _, _, arr in regularized_weights(params))
     return data + reg
 
 

@@ -304,11 +304,12 @@ def test_corpus_without_whole_day_exits_3(tmp_path, capsys):
     truth = tmp_path / "truth.json"
     truth.write_text('{"labels": {}}')
     for command, out in (
-        (["prep", "--rate", "per5min"], labeled),
-        (["simulate", "--truth", str(truth), "--rate", "per5min"], tmp_path / "sim.json"),
-        (["efficiency"], tmp_path / "eff.csv"),
+        (["prep", "--rate", "per5min", "--traces"], labeled),
+        (["simulate", "--truth", str(truth), "--rate", "per5min", "--traces"], tmp_path / "sim.json"),
+        (["efficiency", "--traces"], tmp_path / "eff.csv"),
+        (["ingest", "--in"], tmp_path / "ingested.csv"),
     ):
-        assert main([*command, "--traces", str(traces), "--out", str(out)]) == 3, command[0]
+        assert main([*command, str(traces), "--out", str(out)]) == 3, command[0]
         assert "no whole day" in capsys.readouterr().err
         assert not out.exists()
     labeled.write_text("")  # what prep used to write for such a corpus

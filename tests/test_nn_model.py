@@ -21,7 +21,7 @@ from amisim.nn import (
     load_params,
     save_params,
 )
-from amisim.nn.model import _layer_forward
+from amisim.nn.model import _layer_forward, table_forward
 from reference import gru_step
 
 
@@ -312,6 +312,23 @@ def test_bit_window_kernel_matches_forward(name, seed, data):
     # form of the sigmoid.
     assert np.abs(out - ref).max() <= 1e-12
     assert np.array_equal(out.argmax(axis=1), ref.argmax(axis=1))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bit_window_kernel_call_equals_table_forward(name, seed):
+    spec = KERNEL_SPECS[name]
+    params = init_params(spec, seed=seed)
+    kernel = BitWindowKernel(spec, params)
+    windows = np.random.default_rng(seed).integers(0, 2, size=(8, spec.input_length))
+    # Windows with distinct cell indices only: a call runs each distinct
+    # window once, and a matrix product may round a batch of one row
+    # differently from a larger batch. So both evaluate the same rows.
+    _, first = np.unique(kernel.index(windows), axis=0, return_index=True)
+    windows = windows[np.sort(first)].astype(np.float64)
+    # Bitwise: inference and training run one evaluation, not two copies.
+    assert np.array_equal(kernel(windows), table_forward(spec, params, windows)[0])
 
 
 def test_bit_window_kernel_table_sizes_and_input_checks():
