@@ -15,6 +15,7 @@ but offer no real security margin.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -68,6 +69,23 @@ class Ciphertext:
     value: int
 
 
+@functools.cache
+def _sieve_product() -> int:
+    """The product of the primes in (229, 2^16], built on first use."""
+    sieve = bytearray([1]) * (1 << 16)
+    for p in range(2, 256):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    return math.prod(p for p in range(_SMALL_PRIMES[-1] + 1, len(sieve)) if sieve[p])
+
+
+def _passes_round(a: int, d: int, r: int, m: int) -> bool:
+    """Miller-Rabin's round for n - 1 = 2^r d, taken modulo m (n or a factor
+    of n): a^d = 1 or a^(2^i d) = -1 for an i < r."""
+    x = pow(a, d, m)
+    return x == 1 or any(pow(x, 1 << i, m) == m - 1 for i in range(r))
+
+
 def _is_probable_prime(n: int, rng: random.Random) -> bool:
     if n < 2:
         return False
@@ -79,18 +97,15 @@ def _is_probable_prime(n: int, rng: random.Random) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(MILLER_RABIN_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    a = rng.randrange(2, n - 1)
+    # A base that fails round one modulo a factor g of n fails it modulo n
+    # too, so n is rejected after the same single draw (HAC sec. 4.4).
+    g = math.gcd(n, _sieve_product() % n)
+    if 1 < g < n and not _passes_round(a, d, r, g):
+        return False
+    return _passes_round(a, d, r, n) and all(
+        _passes_round(rng.randrange(2, n - 1), d, r, n) for _ in range(MILLER_RABIN_ROUNDS - 1)
+    )
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:

@@ -2,12 +2,14 @@
 
 The program runs the defense as one corpus schedule
 (amisim.defense.simulate_corpus), the defense-aware attacker as the CLI's
-threeclass_sets -> train_threeclass -> evaluate_threeclass sequence, and a
-GRU layer as one folded scan over the whole batch. The definitions here are
-the plain forms of all three: a ring-buffer memory and a slot-by-slot day
-loop that calls defense_decide, the attack as one function, and the
-textbook GRU step. pytest does not collect this module; tests import from
-it.
+threeclass_sets -> train_threeclass -> evaluate_threeclass sequence, a GRU
+layer as one folded scan over the whole batch, the prime test with a
+small-factor gcd before Miller-Rabin, and bn254 scalar multiplication in
+Jacobian coordinates. The definitions here are the plain forms: a
+ring-buffer memory and a slot-by-slot day loop that calls defense_decide,
+the attack as one function, the textbook GRU step, plain Miller-Rabin and
+affine double-and-add. pytest does not collect this module; tests import
+from it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from amisim.attacker import (
     train_threeclass,
 )
 from amisim.cat import CatConfig, EuView, TransmissionPattern, cat_decide
+from amisim.crypto.bn254 import _pt_add, _pt_double
+from amisim.crypto.paillier import _SMALL_PRIMES, MILLER_RABIN_ROUNDS
 from amisim.data.traces import DayRecord, PresenceLabel
 from amisim.defense import DefenseBundle, defense_decide
 from amisim.errors import ConfigError, ProtocolError
@@ -129,3 +133,42 @@ def gru_step(weights, x_t, h_prev):
     xrh = np.concatenate([x_t, r * h_prev], axis=1)
     h_cand = np.tanh(xrh @ weights["Wh"] + weights["bh"])
     return (1.0 - z) * h_prev + z * h_cand
+
+
+def is_probable_prime(n: int, rng) -> bool:
+    """Trial division by the small primes, then MILLER_RABIN_ROUNDS rounds
+    of Miller-Rabin with bases drawn from rng."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(MILLER_RABIN_ROUNDS):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def pt_mul(pt, k, ops):
+    """k * pt by right-to-left double-and-add in affine coordinates."""
+    result = None
+    addend = pt
+    while k:
+        if k & 1:
+            result = _pt_add(result, addend, ops)
+        addend = _pt_double(addend, ops)
+        k >>= 1
+    return result

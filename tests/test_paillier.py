@@ -1,8 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import amisim
+import reference
+from amisim.crypto import pairing, paillier
 from amisim.crypto import (
     Ciphertext,
     decode_reading,
@@ -181,3 +187,100 @@ def test_reading_codec_headroom(keys):
         encode_reading(float(pk.n), pk=pk, meter_count=1)
     with pytest.raises(EncodingRangeError):
         encode_reading(-1.0)
+
+
+def _plain_prime_test(monkeypatch):
+    monkeypatch.setattr(paillier, "_is_probable_prime", reference.is_probable_prime)
+    monkeypatch.setattr(pairing, "_is_probable_prime", reference.is_probable_prime)
+
+
+@pytest.mark.parametrize("bits, seeds", [(256, 200), (512, 60)])
+def test_keygen_equals_plain_miller_rabin(monkeypatch, bits, seeds):
+    keys = [paillier_keygen(bits, random.Random(s))[1] for s in range(seeds)]
+    _plain_prime_test(monkeypatch)
+    plain = [paillier_keygen(bits, random.Random(s))[1] for s in range(seeds)]
+    assert [(k.p, k.q) for k in keys] == [(k.p, k.q) for k in plain]
+
+
+def test_exponent_suite_equals_plain_miller_rabin(monkeypatch):
+    suites = [pairing.ExponentSuite.generate(s).params_summary() for s in range(4)]
+    _plain_prime_test(monkeypatch)
+    assert suites == [pairing.ExponentSuite.generate(s).params_summary() for s in range(4)]
+
+
+class _RecordingRng:
+    """Hands out the scripted values first, then draws from a seeded Random;
+    records every randrange call with its result."""
+
+    def __init__(self, script=()):
+        self.script = list(script)
+        self.inner = random.Random(0)
+        self.calls = []
+
+    def randrange(self, *args):
+        value = self.script.pop(0) if self.script else self.inner.randrange(*args)
+        self.calls.append((args, value))
+        return value
+
+
+def _passes_round_one(a, n, m):
+    """Whether the base a passes Miller-Rabin's round for n, taken modulo m."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    return pow(a, d, m) == 1 or any(pow(a, d << i, m) == m - 1 for i in range(r))
+
+
+# n, its factor g = gcd(n, product of the primes in (229, 2^16]) and the first
+# base. 233 * 65537 and 233^2 have 233 as least factor; 233 * 239 and the
+# primes take plain Miller-Rabin (g = n or g = 1).
+_N1, _N2 = 233 * 65537, 233**2
+_BRANCH_CASES = {
+    "fails-mod-g": (_N1, 233, next(a for a in range(2, _N1) if not _passes_round_one(a, _N1, 233))),
+    "passes-mod-g-only": (_N1, 233, next(
+        a for a in range(2, _N1)
+        if _passes_round_one(a, _N1, 233) and not _passes_round_one(a, _N1, _N1)
+    )),
+    "strong-liar": (_N2, 233, next(a for a in range(2, _N2 - 1) if _passes_round_one(a, _N2, _N2))),
+    "sieve-divides-all": (233 * 239, None, 5),
+    "prime": (2**127 - 1, None, 3),
+    "prime-in-sieve-range": (65521, None, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BRANCH_CASES))
+def test_prime_test_small_factor_branches_draw_like_plain_miller_rabin(monkeypatch, case):
+    n, g, first = _BRANCH_CASES[case]
+    moduli = []
+    real_round = paillier._passes_round
+
+    def spy(a, d, r, m):
+        moduli.append(m)
+        return real_round(a, d, r, m)
+
+    monkeypatch.setattr(paillier, "_passes_round", spy)
+    rng, plain_rng = _RecordingRng([first]), _RecordingRng([first])
+    assert paillier._is_probable_prime(n, rng) == reference.is_probable_prime(n, plain_rng)
+    assert rng.calls == plain_rng.calls
+    if case == "fails-mod-g":
+        assert moduli == [g] and rng.calls == [((2, n - 1), first)]
+    elif g is not None:
+        assert moduli[:2] == [g, n]
+    else:
+        assert set(moduli) == {n}
+    if case == "strong-liar":
+        assert len(rng.calls) >= 2  # round one passed modulo n, so round two drew
+    if case.startswith("prime"):
+        assert len(rng.calls) == paillier.MILLER_RABIN_ROUNDS
+
+
+def test_sieve_product_is_built_on_the_first_prime_test_not_at_import():
+    script = (
+        "import random, amisim.cli, amisim.protocol\n"
+        "from amisim.crypto import paillier\n"
+        "assert paillier._sieve_product.cache_info().currsize == 0\n"
+        "assert paillier._is_probable_prime(2**127 - 1, random.Random(0))\n"
+        "assert paillier._sieve_product.cache_info().currsize == 1\n"
+    )
+    src = os.path.dirname(os.path.dirname(amisim.__file__))
+    subprocess.run([sys.executable, "-c", script], check=True, env={**os.environ, "PYTHONPATH": src})

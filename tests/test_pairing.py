@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import reference
 from amisim.crypto import make_suite
 from amisim.errors import CryptoError
 
@@ -168,29 +169,62 @@ def _fq2_sqrt(a):
     return None
 
 
-def test_bn254_g2_deserialize_rejects_points_outside_subgroup(bn_suite):
-    from amisim.crypto.bn254 import (
-        CURVE_ORDER,
-        FIELD_MODULUS as P,
-        TWIST_B,
-        _FQ2_OPS,
-        G2Point,
-        _pt_mul,
-        fq2_add,
-        fq2_mul,
-    )
+def _twist_point_outside_g2():
+    """The twist point with x = 2 + i; the twist's cofactor 2p - r keeps it out of G2."""
+    from amisim.crypto.bn254 import TWIST_B, G2Point, fq2_add, fq2_mul
 
     x = (2, 1)
     y = _fq2_sqrt(fq2_add(fq2_mul(fq2_mul(x, x), x), TWIST_B))
     assert y is not None
     pt = G2Point((x, y))
     assert pt.on_curve()
+    return pt
+
+
+def test_bn254_g2_deserialize_rejects_points_outside_subgroup(bn_suite):
+    from amisim.crypto.bn254 import CURVE_ORDER, FIELD_MODULUS as P, _FQ2_OPS, G2Point, _pt_mul
+
+    pt = _twist_point_outside_g2()
     assert _pt_mul(pt.point, CURVE_ORDER, _FQ2_OPS) is not None  # cofactor 2p - r
     with pytest.raises(CryptoError, match="subgroup"):
         bn_suite.g2_deserialize(bn_suite.g2_serialize(pt))
     # The cofactor times it lies in the subgroup, so that point still decodes.
     g2_pt = G2Point(_pt_mul(pt.point, 2 * P - CURVE_ORDER, _FQ2_OPS))
     assert bn_suite.g2_deserialize(bn_suite.g2_serialize(g2_pt)) == g2_pt
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+def test_bn254_jacobian_pt_mul_equals_affine_double_and_add(group):
+    from amisim.crypto.bn254 import (
+        CURVE_ORDER as R, FIELD_MODULUS as P, G1_GENERATOR, G2_GENERATOR, _FP_OPS, _FQ2_OPS,
+        _pt_mul,
+    )
+
+    gen, ops = (G1_GENERATOR, _FP_OPS) if group == "G1" else (G2_GENERATOR, _FQ2_OPS)
+    rng = random.Random(23)
+    points = [gen, reference.pt_mul(gen, rng.randrange(2, R), ops)]
+    # At k = r + 2 the last addition adds pt to (r + 1) pt = pt, a doubling;
+    # at k = 2r + 1 it adds pt to the identity.
+    scalars = [0, 1, 2, 3, R - 1, R, R + 1, R + 2, 2 * R + 1]
+    scalars += [rng.getrandbits(254) for _ in range(4)] + [rng.getrandbits(64) for _ in range(4)]
+    for pt in points:
+        for k in scalars:
+            assert _pt_mul(pt, k, ops) == reference.pt_mul(pt, k, ops), k
+    for k in (0, 1, 5, R):
+        assert _pt_mul(None, k, ops) is None
+    if group == "G2":
+        outside = _twist_point_outside_g2().point
+        for k in (2 * P - R, R, (2 * P - R) * R, rng.getrandbits(254)):
+            assert _pt_mul(outside, k, ops) == reference.pt_mul(outside, k, ops), k
+        assert _pt_mul(outside, (2 * P - R) * R, ops) is None
+
+
+def test_bn254_pt_mul_refuses_negative_scalars():
+    from amisim.crypto.bn254 import G1_GENERATOR, G2_GENERATOR, _FP_OPS, _FQ2_OPS, _pt_mul
+
+    for pt, ops in ((G1_GENERATOR, _FP_OPS), (G2_GENERATOR, _FQ2_OPS), (None, _FP_OPS)):
+        with pytest.raises(CryptoError, match="k >= 0"):
+            _pt_mul(pt, -1, ops)
 
 
 def test_unknown_backend_rejected():

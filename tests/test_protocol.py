@@ -585,6 +585,37 @@ def test_bn254_protocol_run_exact_and_drops_forgeries():
     assert not batch_verify(cancelling, params.suite)
 
 
+def test_bn254_protocol_messages_equal_those_of_the_reference_crypto(monkeypatch):
+    """Jacobian scalar multiplication and the small-factor prime test change
+    no key, ciphertext, signature or total against the plain forms."""
+    import reference
+    from amisim.crypto import bn254, paillier
+
+    def run():
+        params, eu_sk, sm_keys, agg_key = kdc_setup(
+            SetupConfig(sm_count=2, paillier_bits=512, pairing_backend="bn254", seed=31)
+        )
+        sms, agg, eu = _fresh_states(params, eu_sk, sm_keys, agg_key)
+        out = [(eu_sk.p, eu_sk.q), params.sm_publics, params.agg_public]
+        for slot, kwh in enumerate((1.5, 0.25, 3.0)):
+            now = slot * SLOT_MS
+            msgs = [
+                sm_report(params, sms[sm_id], kwh + i, None, CAT30, now, force=True)
+                for i, sm_id in enumerate(sorted(sms))
+            ]
+            agg_msg = aggregator_collect(params, agg, msgs, now)
+            total = eu_recover(params, eu, agg_msg, now)
+            assert total.total_encoded == encode_reading(kwh) + encode_reading(kwh + 1)
+            out.append((msgs, agg_msg, total))
+        assert (agg.dropped_bad_sig, agg.batch_fallbacks) == (0, 0)
+        return out
+
+    fast = run()
+    monkeypatch.setattr(bn254, "_pt_mul", reference.pt_mul)
+    monkeypatch.setattr(paillier, "_is_probable_prime", reference.is_probable_prime)
+    assert run() == fast
+
+
 def _shifted_pair():
     """Two one-day 30-min traces, the second a day later than the first."""
     start = date(2016, 1, 1)
