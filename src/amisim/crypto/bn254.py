@@ -3,24 +3,28 @@
 Self-contained big-integer implementation: Fp2 as Fp[i]/(i^2+1), Fp12 as a
 degree-12 extension modulo w^12 - 18 w^6 + 82, points in affine
 coordinates (scalar multiplication runs in Jacobian coordinates and
-inverts once), Miller loop over 6u+2 with the two Frobenius line corrections,
-and the (p^12 - 1)/r final exponentiation split into an easy part (Frobenius
+inverts once), one Miller loop over 6u+2 per pairing product, with the two
+Frobenius line corrections and each G2 point's lines prepared once, and
+the (p^12 - 1)/r final exponentiation split into an easy part (Frobenius
 maps and one inverse) and a hard part (one joint exponentiation by four
 base-p digits). Signatures live in G1 (on the base curve, cofactor 1),
 public keys in G2 (on the sextic twist, cofactor 2p - r). The Miller loop
 keeps G2 on the twist in Fp2 and only its sparse line values enter Fp12.
 
 Pure Python: on a 2-core x86 machine with Python 3.11 (medians of 15) a
-pairing takes 30-34 ms, of which the Miller loop is 10-13 ms and the final
-exponentiation 18-22 ms; a 254-bit scalar multiplication takes 1.8-2.1 ms
-in G1 and 5-6.3 ms in G2. Bulk protocol simulations use the exponent backend
-instead.
+product of 2 pairings takes 20-22 ms and one of 4 takes 24-27 ms (41 and
+63 ms with one Miller loop per pair), of which the shared loop is 6 and
+10 ms and the final exponentiation 15-16 ms. Preparing a G2 point's lines
+takes 3 ms, once per point. A 254-bit scalar multiplication takes 1.8-2.1
+ms in G1 and 5-6.3 ms in G2. Bulk protocol simulations use the exponent
+backend instead.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from amisim.errors import CryptoError
 
@@ -108,6 +112,14 @@ TWIST_B = fq2_mul((CURVE_B, 0), fq2_inv(XI))
 FQ12_ONE = (1,) + (0,) * 11
 
 
+def _fold(acc):
+    """Reduce the coefficients of w^0 .. w^(len(acc) - 1) with w^12 = 18 w^6 - 82."""
+    for deg in range(len(acc) - 1, 11, -1):
+        acc[deg - 6] += acc[deg] * 18
+        acc[deg - 12] -= acc[deg] * 82
+    return tuple(a % P for a in acc[:12])
+
+
 def fq12_mul(x, y):
     acc = [0] * 23
     for i, xi in enumerate(x):
@@ -115,18 +127,18 @@ def fq12_mul(x, y):
             for j, yj in enumerate(y):
                 if yj:
                     acc[i + j] += xi * yj
-    # Fold degrees 22..12 with w^12 = 18 w^6 - 82.
-    for deg in range(22, 11, -1):
-        top = acc[deg]
-        if top:
-            acc[deg - 6] += top * 18
-            acc[deg - 12] -= top * 82
-            acc[deg] = 0
-    return tuple(a % P for a in acc[:12])
+    return _fold(acc)
 
 
 def fq12_square(x):
-    return fq12_mul(x, x)
+    """x * x from the 78 products x_i x_j with i <= j instead of 144."""
+    acc = [0] * 23
+    for i, xi in enumerate(x):
+        acc[2 * i] += xi * xi
+        xi += xi
+        for j in range(i + 1, 12):
+            acc[i + j] += xi * x[j]
+    return _fold(acc)
 
 
 def fq12_pow(x, exponent: int):
@@ -279,46 +291,66 @@ def _frobenius(pt):
     return (fq2_mul((x0, -x1 % P), _FROB_X), fq2_mul((y0, -y1 % P), _FROB_Y))
 
 
-def _line(r, t, p):
-    """Value at the G1 point p of the untwisted line through twist points r
-    and t (the tangent at r when r == t), as a sparse Fp12 element."""
+def _line_step(r, t):
+    """The line through twist points r and t (the tangent at r if r == t) and r + t, from one
+    inversion: (l0 - 9 l1, l1, c0 - 9 c1, c1) for the slope l = l0 + l1 i and c = y1 - l x1,
+    or (9 b - a, -b) for the vertical line x_P - x1 w^2, x1 = a + b i, and r + t = None."""
     (x1, y1), (x2, y2) = r, t
-    xp, yp = p
     if x1 != x2:
         slope = fq2_mul(fq2_sub(y2, y1), fq2_inv(fq2_sub(x2, x1)))
     elif y1 == y2:
         slope = fq2_mul(fq2_scalar(fq2_mul(x1, x1), 3), fq2_inv(fq2_scalar(y1, 2)))
     else:
-        # Vertical line: x_P - x1 w^2.
-        a, b = x1
-        return (xp % P, 0, (9 * b - a) % P, 0, 0, 0, 0, 0, -b % P, 0, 0, 0)
-    # -y_P + (lambda x_P) w + (y1 - lambda x1) w^3
-    l0, l1 = fq2_scalar(slope, xp)
-    c0, c1 = fq2_sub(y1, fq2_mul(slope, x1))
-    return (-yp % P, (l0 - 9 * l1) % P, 0, (c0 - 9 * c1) % P, 0, 0, 0, l1, 0, c1, 0, 0)
+        return ((9 * x1[1] - x1[0]) % P, -x1[1] % P), None
+    nx = fq2_sub(fq2_sub(fq2_mul(slope, slope), x1), x2)
+    (l0, l1), (c0, c1) = slope, fq2_sub(y1, fq2_mul(slope, x1))
+    line = ((l0 - 9 * l1) % P, l1, (c0 - 9 * c1) % P, c1)
+    return line, (nx, fq2_sub(fq2_mul(slope, fq2_sub(x1, nx)), y1))
 
 
-def miller_loop(q, p):
-    """Miller loop over the G2 point q (on the twist) and the G1 point p.
-
-    Returns the value BEFORE final exponentiation so products of loops can
-    share one exponentiation.
-    """
-    if q is None or p is None:
-        return FQ12_ONE
-    r = q
-    f = FQ12_ONE
+def _prepare_lines(q):
+    """The Miller loop's lines for the twist point q: one list per squaring of f, in order."""
+    r, steps = q, []
     for i in range(LOG_ATE_LOOP_COUNT, -1, -1):
-        f = fq12_mul(fq12_square(f), _line(r, r, p))
-        r = _pt_double(r, _FQ2_OPS)
-        if ATE_LOOP_COUNT & (2**i):
-            f = fq12_mul(f, _line(r, q, p))
-            r = _pt_add(r, q, _FQ2_OPS)
+        line, r = _line_step(r, r)
+        steps.append([line])
+        if ATE_LOOP_COUNT >> i & 1:
+            line, r = _line_step(r, q)
+            steps[-1].append(line)
     q1 = _frobenius(q)
-    nq2 = _pt_neg(_frobenius(q1), _FQ2_OPS)
-    f = fq12_mul(f, _line(r, q1, p))
-    r = _pt_add(r, q1, _FQ2_OPS)
-    return fq12_mul(f, _line(r, nq2, p))
+    line, r = _line_step(r, q1)
+    steps[-1] += [line, _line_step(r, _pt_neg(_frobenius(q1), _FQ2_OPS))[0]]
+    return steps
+
+
+def _mul_by_line(f, line, xp, yp):
+    """f times the value of a prepared line at the G1 point (xp, yp): the
+    sparse -y_P + (l x_P) w + c w^3, nonzero at w^0, w^1, w^3, w^7 and w^9."""
+    if len(line) == 2:  # the vertical line x_P - x1 w^2
+        return fq12_mul(f, (xp, 0, line[0], 0, 0, 0, 0, 0, line[1], 0, 0, 0))
+    l1, l7, l3, l9 = line[0] * xp % P, line[1] * xp % P, line[2], line[3]
+    acc = [0] * 21
+    for i, fi in enumerate(f):
+        acc[i] -= fi * yp
+        acc[i + 1] += fi * l1
+        acc[i + 3] += fi * l3
+        acc[i + 7] += fi * l7
+        acc[i + 9] += fi * l9
+    return _fold(acc)
+
+
+def miller_loop_product(pairs):
+    """The product of the Miller loops over [(G1Point, G2Point), ...] as one loop (Granger and
+    Smart, ePrint 2006/172): each step squares f once and multiplies in every pair's lines.
+    A pair with an identity contributes 1. The final exponentiation is left to the caller."""
+    live = [(a.point, b.lines) for a, b in pairs if a.point is not None and b.point is not None]
+    f = FQ12_ONE
+    for step in zip(*(lines for _, lines in live)):
+        f = fq12_square(f)
+        for ((xp, yp), _), lines in zip(live, step):
+            for line in lines:
+                f = _mul_by_line(f, line, xp, yp)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +465,13 @@ class G1Point(_CurvePoint):
 class G2Point(_CurvePoint):
     _ops, _b = _FQ2_OPS, TWIST_B
 
+    @cached_property
+    def lines(self):  # prepared on first use (Costello and Stebila, "Fixed argument pairings")
+        return _prepare_lines(self.point)
+
+
+_G2_GEN = G2Point(G2_GENERATOR)  # one point, so its lines are prepared once per process
+
 
 @dataclass(frozen=True)
 class GtElement:
@@ -459,7 +498,7 @@ class Bn254Suite:
         return G1Point(G1_GENERATOR)
 
     def g2_generator(self) -> G2Point:
-        return G2Point(G2_GENERATOR)
+        return _G2_GEN
 
     def g1_identity(self) -> G1Point:
         return G1Point(None)
@@ -486,15 +525,13 @@ class Bn254Suite:
 
     # -- pairing -------------------------------------------------------------
     def pair(self, a: G1Point, b: G2Point) -> GtElement:
-        self._check_points(a, b)
-        return GtElement(final_exponentiation(miller_loop(b.point, a.point)))
+        return self.pair_product([(a, b)])
 
     def pair_product(self, pairs) -> GtElement:
-        f = FQ12_ONE
+        pairs = list(pairs)
         for a, b in pairs:
             self._check_points(a, b)
-            f = fq12_mul(f, miller_loop(b.point, a.point))
-        return GtElement(final_exponentiation(f))
+        return GtElement(final_exponentiation(miller_loop_product(pairs)))
 
     @staticmethod
     def _check_points(a: G1Point, b: G2Point):

@@ -124,6 +124,7 @@ class EuState:
     paillier_sk: PaillierPrivateKey
     agg_public: object
     freshness_ms: int
+    last_ts_ms: int = -1  # newest accepted aggregate
     rejected_stale: int = 0
     rejected_bad_sig: int = 0
 
@@ -259,13 +260,15 @@ class RecoveredTotal:
 def eu_recover(
     params: SystemParams, state: EuState, msg: AggMsg, now_ms: int
 ) -> RecoveredTotal:
-    """Freshness gate, signature check, then exact decryption of the total."""
-    if abs(now_ms - msg.ts_ms) > state.freshness_ms:
+    """Freshness gate, signature check, then exact decryption of the total.
+    An aggregate no newer than the last accepted one is a replay and stale."""
+    if abs(now_ms - msg.ts_ms) > state.freshness_ms or msg.ts_ms <= state.last_ts_ms:
         state.rejected_stale += 1
-        raise StaleMessageError(f"aggregate timestamp {msg.ts_ms} outside window")
+        raise StaleMessageError(f"aggregate timestamp {msg.ts_ms} outside window or replayed")
     if not verify_single(msg.sigma, state.agg_public, msg.payload(), params.suite):
         state.rejected_bad_sig += 1
         raise VerificationError("aggregate signature check failed")
+    state.last_ts_ms = msg.ts_ms
     total = decrypt(state.paillier_sk, params.paillier_pk, Ciphertext(value=msg.ciphertext))
     return RecoveredTotal(total_kwh=decode_reading(total), total_encoded=total)
 

@@ -4,12 +4,14 @@ The program runs the defense as one corpus schedule
 (amisim.defense.simulate_corpus), the defense-aware attacker as the CLI's
 threeclass_sets -> train_threeclass -> evaluate_threeclass sequence, a GRU
 layer as one folded scan over the whole batch, the prime test with a
-small-factor gcd before Miller-Rabin, and bn254 scalar multiplication in
-Jacobian coordinates. The definitions here are the plain forms: a
-ring-buffer memory and a slot-by-slot day loop that calls defense_decide,
-the attack as one function, the textbook GRU step, plain Miller-Rabin and
-affine double-and-add. pytest does not collect this module; tests import
-from it.
+small-factor gcd before Miller-Rabin, bn254 scalar multiplication in
+Jacobian coordinates and a bn254 pairing product as one Miller loop over
+lines prepared once per G2 point. The definitions here are the plain forms:
+a ring-buffer memory and a slot-by-slot day loop that calls defense_decide,
+the attack as one function, the textbook GRU step, plain Miller-Rabin,
+affine double-and-add and one Miller loop per pair, which computes each
+line and each step of R with its own inversion. pytest does not collect
+this module; tests import from it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,22 @@ from amisim.attacker import (
     train_threeclass,
 )
 from amisim.cat import CatConfig, EuView, TransmissionPattern, cat_decide
-from amisim.crypto.bn254 import _pt_add, _pt_double
+from amisim.crypto.bn254 import (
+    _FQ2_OPS,
+    ATE_LOOP_COUNT,
+    FQ12_ONE,
+    LOG_ATE_LOOP_COUNT,
+    P,
+    _frobenius,
+    _pt_add,
+    _pt_double,
+    _pt_neg,
+    fq2_inv,
+    fq2_mul,
+    fq2_scalar,
+    fq2_sub,
+    fq12_mul,
+)
 from amisim.crypto.paillier import _SMALL_PRIMES, MILLER_RABIN_ROUNDS
 from amisim.data.traces import DayRecord, PresenceLabel
 from amisim.defense import DefenseBundle, defense_decide
@@ -172,3 +189,50 @@ def pt_mul(pt, k, ops):
         addend = _pt_double(addend, ops)
         k >>= 1
     return result
+
+
+def _line(r, t, p):
+    """Value at the G1 point p of the untwisted line through twist points r
+    and t (the tangent at r when r == t), as a sparse Fp12 element."""
+    (x1, y1), (x2, y2) = r, t
+    xp, yp = p
+    if x1 != x2:
+        slope = fq2_mul(fq2_sub(y2, y1), fq2_inv(fq2_sub(x2, x1)))
+    elif y1 == y2:
+        slope = fq2_mul(fq2_scalar(fq2_mul(x1, x1), 3), fq2_inv(fq2_scalar(y1, 2)))
+    else:
+        # Vertical line: x_P - x1 w^2.
+        a, b = x1
+        return (xp % P, 0, (9 * b - a) % P, 0, 0, 0, 0, 0, -b % P, 0, 0, 0)
+    # -y_P + (lambda x_P) w + (y1 - lambda x1) w^3
+    l0, l1 = fq2_scalar(slope, xp)
+    c0, c1 = fq2_sub(y1, fq2_mul(slope, x1))
+    return (-yp % P, (l0 - 9 * l1) % P, 0, (c0 - 9 * c1) % P, 0, 0, 0, l1, 0, c1, 0, 0)
+
+
+def miller_loop(q, p):
+    """Miller loop over the G2 point q (on the twist) and the G1 point p,
+    before the final exponentiation."""
+    if q is None or p is None:
+        return FQ12_ONE
+    r = q
+    f = FQ12_ONE
+    for i in range(LOG_ATE_LOOP_COUNT, -1, -1):
+        f = fq12_mul(fq12_mul(f, f), _line(r, r, p))
+        r = _pt_double(r, _FQ2_OPS)
+        if ATE_LOOP_COUNT & (2**i):
+            f = fq12_mul(f, _line(r, q, p))
+            r = _pt_add(r, q, _FQ2_OPS)
+    q1 = _frobenius(q)
+    nq2 = _pt_neg(_frobenius(q1), _FQ2_OPS)
+    f = fq12_mul(f, _line(r, q1, p))
+    r = _pt_add(r, q1, _FQ2_OPS)
+    return fq12_mul(f, _line(r, nq2, p))
+
+
+def miller_loop_product(pairs):
+    """The product of one Miller loop per (G1Point, G2Point) pair."""
+    f = FQ12_ONE
+    for a, b in pairs:
+        f = fq12_mul(f, miller_loop(b.point, a.point))
+    return f

@@ -1,10 +1,17 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import amisim
 import reference
 from amisim.crypto import make_suite
+from amisim.crypto.bn254 import FIELD_MODULUS as P
 from amisim.errors import CryptoError
 
 
@@ -138,8 +145,8 @@ def test_bn254_final_exponentiation_equals_plain_power(bn_suite):
         FIELD_MODULUS as P,
         final_exponentiation,
         fq12_pow,
-        miller_loop,
     )
+    from reference import miller_loop
 
     final_exponent = (P**12 - 1) // CURVE_ORDER
     rng = random.Random(21)
@@ -230,3 +237,114 @@ def test_bn254_pt_mul_refuses_negative_scalars():
 def test_unknown_backend_rejected():
     with pytest.raises(CryptoError):
         make_suite("nope")
+
+
+def _outcome(loop, pairs):
+    try:
+        return loop(pairs)
+    except Exception as exc:  # the reference's own exception, compared below
+        return type(exc), exc.args
+
+
+def _miller_cases():
+    from amisim.crypto.bn254 import G1Point, G2Point
+
+    suite = make_suite("bn254")
+    g1, g2 = suite.g1_generator(), suite.g2_generator()
+    rng = random.Random(41)
+
+    def pair():
+        return rng.randrange(1, 2**64) * g1, rng.randrange(1, 2**64) * g2
+
+    cases = {f"{n}-random": [pair() for _ in range(n)] for n in range(1, 6)}
+    a, b = pair()
+    cases["identity-g1"] = [(G1Point(None), b), pair()]
+    cases["identity-g2"] = [pair(), (a, G2Point(None))]
+    cases["only-identities"] = [(G1Point(None), G2Point(None))]
+    cases["repeated-g2"] = [(a, b), pair(), (7 * a, b), (-a, g2), (a, g2)]
+    outside = _twist_point_outside_g2()
+    cases["outside-g2"] = [(a, outside)]
+    cases["outside-g2-in-product"] = [pair(), (a, outside), (G1Point(None), outside)]
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_miller_cases()))
+def test_bn254_miller_loop_product_equals_product_of_reference_loops(case):
+    """One loop over prepared lines gives the same Fp12 element before the
+    final exponentiation as one reference loop per pair (or the same error)."""
+    from amisim.crypto.bn254 import FQ12_ONE, miller_loop_product
+
+    pairs = _miller_cases()[case]
+    expected = _outcome(reference.miller_loop_product, pairs)
+    assert _outcome(miller_loop_product, pairs) == expected
+    assert _outcome(miller_loop_product, pairs) == expected  # the lines now come from the cache
+    if case == "only-identities":
+        assert expected == FQ12_ONE
+
+
+def test_bn254_fq12_square_equals_mul():
+    from amisim.crypto.bn254 import FQ12_ONE, fq12_mul, fq12_square
+
+    rng = random.Random(43)
+    elements = [tuple(rng.randrange(P) for _ in range(12)) for _ in range(20)]
+    for _ in range(40):  # one to three nonzero coefficients, some at the top
+        x = [0] * 12
+        for k in rng.sample(range(12), rng.randrange(1, 4)):
+            x[k] = rng.choice([1, P - 1, rng.randrange(P)])
+        elements.append(tuple(x))
+    elements += [FQ12_ONE, (0,) * 12, (0,) * 11 + (P - 1,)]
+    for x in elements:
+        assert fq12_square(x) == fq12_mul(x, x), x
+
+
+def test_g2_lines_are_prepared_on_first_use_not_at_import():
+    script = (
+        "import amisim.cli, amisim.protocol\n"
+        "from amisim.crypto import bn254, make_suite\n"
+        "gen = make_suite('bn254').g2_generator()\n"
+        "assert 'lines' not in vars(gen)\n"
+        "gen.lines\n"
+        "assert 'lines' in vars(gen) and gen is bn254.Bn254Suite().g2_generator()\n"
+    )
+    src = os.path.dirname(os.path.dirname(amisim.__file__))
+    subprocess.run([sys.executable, "-c", script], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def _on_curve_encoding(x):
+    """The encoding of a curve point with x in Fp (G1) or Fp2 (the twist),
+    or None when no point has that x."""
+    from amisim.crypto.bn254 import CURVE_B, TWIST_B, fq2_add, fq2_mul
+
+    if isinstance(x, int):
+        y = pow((x**3 + CURVE_B) % P, (P + 1) // 4, P)
+        coords = (x, y) if y * y % P == (x**3 + CURVE_B) % P else None
+    else:
+        y = _fq2_sqrt(fq2_add(fq2_mul(fq2_mul(x, x), x), TWIST_B))
+        coords = (*x, *y) if y is not None else None
+    return coords and b"".join(v.to_bytes(32, "big") for v in coords)
+
+
+_FP = st.integers(min_value=0, max_value=P - 1)
+
+
+@pytest.mark.parametrize("group", ["G1", "G2"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bn254_deserialize_fuzz_raises_crypto_error_or_round_trips(bn_suite, group, data):
+    """Arbitrary bytes and on-curve points (on the twist mostly outside G2)
+    either decode to a point that encodes back to them or raise CryptoError."""
+    size, x = (64, _FP) if group == "G1" else (128, st.tuples(_FP, _FP))
+    encode = bn_suite.g1_serialize if group == "G1" else bn_suite.g2_serialize
+    decode = bn_suite.g1_deserialize if group == "G1" else bn_suite.g2_deserialize
+    raw = data.draw(st.one_of(
+        st.binary(max_size=size + 2),
+        st.binary(min_size=size, max_size=size),
+        x.map(_on_curve_encoding).filter(bool),
+    ))
+    try:
+        pt = decode(raw)
+    except CryptoError:
+        return
+    assert pt.on_curve()
+    assert encode(pt) == raw
+    assert decode(encode(pt)) == pt

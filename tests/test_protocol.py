@@ -213,6 +213,24 @@ def test_aggregator_drops_in_window_replay():
     assert total.total_kwh == pytest.approx(10.0)
 
 
+def test_eu_rejects_in_window_replayed_aggregate(system):
+    # A replay of the slot-0 aggregate at slot 1 is still inside the window;
+    # returning its total would pass the old total off as the current one.
+    _, params, eu_sk, sm_keys, agg_key = system
+    sms, agg, eu = _fresh_states(params, eu_sk, sm_keys, agg_key)
+    first = _bootstrap_slot(params, sms, agg)
+    assert eu_recover(params, eu, first, 0).total_encoded == 5 * encode_reading(1.0)
+    with pytest.raises(StaleMessageError, match="replayed"):
+        eu_recover(params, eu, first, SLOT_MS)
+    assert (eu.rejected_stale, eu.rejected_bad_sig, eu.last_ts_ms) == (1, 0, 0)
+    later = aggregator_collect(params, agg, [], SLOT_MS)
+    assert eu_recover(params, eu, later, SLOT_MS).total_encoded == 5 * encode_reading(1.0)
+    assert eu.last_ts_ms == SLOT_MS
+    with pytest.raises(StaleMessageError):
+        eu_recover(params, eu, later, SLOT_MS)  # the same timestamp again
+    assert eu.rejected_stale == 2
+
+
 def test_eu_rejects_stale_and_tampered(system):
     _, params, eu_sk, sm_keys, agg_key = system
     sms, agg, eu = _fresh_states(params, eu_sk, sm_keys, agg_key)
@@ -228,6 +246,7 @@ def test_eu_rejects_stale_and_tampered(system):
     )
     with pytest.raises(VerificationError):
         eu_recover(params, eu, tampered, 0)
+    assert eu.last_ts_ms == -1  # a rejected aggregate does not advance the replay guard
 
 
 def test_aggregator_state_holds_no_private_key(system):
@@ -586,8 +605,9 @@ def test_bn254_protocol_run_exact_and_drops_forgeries():
 
 
 def test_bn254_protocol_messages_equal_those_of_the_reference_crypto(monkeypatch):
-    """Jacobian scalar multiplication and the small-factor prime test change
-    no key, ciphertext, signature or total against the plain forms."""
+    """Jacobian scalar multiplication, the small-factor prime test and the
+    one-loop pairing product over prepared lines change no key, ciphertext,
+    signature, verification or total against the plain forms."""
     import reference
     from amisim.crypto import bn254, paillier
 
@@ -613,6 +633,7 @@ def test_bn254_protocol_messages_equal_those_of_the_reference_crypto(monkeypatch
     fast = run()
     monkeypatch.setattr(bn254, "_pt_mul", reference.pt_mul)
     monkeypatch.setattr(paillier, "_is_probable_prime", reference.is_probable_prime)
+    monkeypatch.setattr(bn254, "miller_loop_product", reference.miller_loop_product)
     assert run() == fast
 
 

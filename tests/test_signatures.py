@@ -209,3 +209,23 @@ def test_batch_on_curve_backend(bn_suite):
         items[1][2],
     )
     assert not batch_verify(forged, bn_suite)
+
+
+def test_batch_on_curve_backend_prepares_each_g2_point_once(bn_suite, monkeypatch):
+    """Each key's Miller-loop lines, and the generator's, are prepared on
+    first use and then read from the point in every later check."""
+    from amisim.crypto import bn254
+
+    generator = bn_suite.g2_generator()
+    monkeypatch.delitem(vars(generator), "lines", raising=False)
+    prepared = []
+    real = bn254._prepare_lines
+    monkeypatch.setattr(bn254, "_prepare_lines", lambda q: prepared.append(q) or real(q))
+    rng = random.Random(13)
+    keys = [sig_keygen(bn_suite, rng) for _ in range(3)]
+    for ts in (1_000, 2_000):
+        payload = canonical_payload(ts, ts)
+        items = [(sign(kp.x, payload, bn_suite), kp.public, payload) for kp in keys]
+        assert batch_verify(items, bn_suite)
+    assert verify_single(*items[0], bn_suite)
+    assert sorted(prepared) == sorted([generator.point] + [kp.public.point for kp in keys])
