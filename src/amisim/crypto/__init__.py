@@ -1,5 +1,4 @@
 from amisim.crypto.paillier import (
-    Ciphertext,
     PaillierPrivateKey,
     PaillierPublicKey,
     READING_SCALE,
@@ -15,7 +14,6 @@ from amisim.crypto.paillier import (
 from amisim.crypto.pairing import ExponentSuite, make_suite
 from amisim.crypto.signatures import (
     SigKeypair,
-    Signature,
     batch_verify,
     canonical_payload,
     sig_keygen,
@@ -24,13 +22,11 @@ from amisim.crypto.signatures import (
 )
 
 __all__ = [
-    "Ciphertext",
     "ExponentSuite",
     "PaillierPrivateKey",
     "PaillierPublicKey",
     "READING_SCALE",
     "SigKeypair",
-    "Signature",
     "batch_verify",
     "canonical_payload",
     "decode_reading",

@@ -2,22 +2,28 @@
 
 Self-contained big-integer implementation: Fp2 as Fp[i]/(i^2+1), Fp12 as a
 degree-12 extension modulo w^12 - 18 w^6 + 82, points in affine
-coordinates (scalar multiplication runs in Jacobian coordinates and
-inverts once), one Miller loop over 6u+2 per pairing product, with the two
-Frobenius line corrections and each G2 point's lines prepared once, and
-the (p^12 - 1)/r final exponentiation split into an easy part (Frobenius
-maps and one inverse) and a hard part (one joint exponentiation by four
-base-p digits). Signatures live in G1 (on the base curve, cofactor 1),
-public keys in G2 (on the sextic twist, cofactor 2p - r). The Miller loop
-keeps G2 on the twist in Fp2 and only its sparse line values enter Fp12.
+coordinates (addition and scalar multiplication run in Jacobian
+coordinates and share one to-affine step, one inversion), one Miller loop
+over 6u+2 per pairing product, with the two Frobenius line corrections and
+each G2 point's lines prepared once, and the (p^12 - 1)/r final
+exponentiation split into an easy part (Frobenius maps and one inverse)
+and a hard part (one joint exponentiation by four base-p digits).
+Signatures live in G1 (on the base curve, cofactor 1), public keys in G2
+(on the sextic twist, cofactor 2p - r). The Miller loop keeps G2 on the
+twist in Fp2 and only its sparse line values enter Fp12, through
+_mul_by_line, so fq12_mul only ever sees dense elements. Each point has
+one check, which pair_product and both deserializers run: on its curve,
+and for G2 also in the order-r subgroup (r Q = 0), a result a G2 point
+keeps next to its lines.
 
 Pure Python: on a 2-core x86 machine with Python 3.11 (medians of 15) a
 product of 2 pairings takes 20-22 ms and one of 4 takes 24-27 ms (41 and
 63 ms with one Miller loop per pair), of which the shared loop is 6 and
 10 ms and the final exponentiation 15-16 ms. Preparing a G2 point's lines
-takes 3 ms, once per point. A 254-bit scalar multiplication takes 1.8-2.1
-ms in G1 and 5-6.3 ms in G2. Bulk protocol simulations use the exponent
-backend instead.
+takes 3 ms and its subgroup check about one G2 scalar multiplication,
+each once per point. A 254-bit scalar multiplication takes 1.8-2.1 ms in
+G1 and 5-6.3 ms in G2. Bulk protocol simulations use the exponent backend
+instead.
 """
 
 from __future__ import annotations
@@ -121,12 +127,12 @@ def _fold(acc):
 
 
 def fq12_mul(x, y):
+    """x * y from all 144 products: every caller passes dense elements (the
+    Miller loop's sparse lines go through _mul_by_line)."""
     acc = [0] * 23
     for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    acc[i + j] += xi * yj
+        for j, yj in enumerate(y):
+            acc[i + j] += xi * yj
     return _fold(acc)
 
 
@@ -179,35 +185,6 @@ _FP_OPS = _Ops(
 _FQ2_OPS = _Ops(fq2_add, fq2_sub, fq2_neg, fq2_mul, fq2_inv, fq2_scalar, FQ2_ZERO, FQ2_ONE)
 
 
-def _pt_double(pt, ops):
-    if pt is None:
-        return None
-    x, y = pt
-    if y == ops.zero:
-        return None
-    slope = ops.mul(ops.scalar(ops.mul(x, x), 3), ops.inv(ops.scalar(y, 2)))
-    nx = ops.sub(ops.mul(slope, slope), ops.scalar(x, 2))
-    ny = ops.sub(ops.mul(slope, ops.sub(x, nx)), y)
-    return (nx, ny)
-
-
-def _pt_add(p1, p2, ops):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if y1 == y2:
-            return _pt_double(p1, ops)
-        return None
-    slope = ops.mul(ops.sub(y2, y1), ops.inv(ops.sub(x2, x1)))
-    nx = ops.sub(ops.sub(ops.mul(slope, slope), x1), x2)
-    ny = ops.sub(ops.mul(slope, ops.sub(x1, nx)), y1)
-    return (nx, ny)
-
-
 def _pt_neg(pt, ops):
     if pt is None:
         return None
@@ -253,20 +230,16 @@ def _pt_mul(pt, k, ops):
         X, Y, Z = _jac_double(X, Y, Z, ops)
         if bit == "1":
             X, Y, Z = _jac_add_affine(X, Y, Z, pt, ops)
+    return _to_affine(X, Y, Z, ops)
+
+
+def _to_affine(X, Y, Z, ops):
+    """The affine point (X/Z^2, Y/Z^3), None for Z = 0, from one inversion."""
     if Z == ops.zero:
         return None
     z_inv = ops.inv(Z)
     z_inv2 = ops.mul(z_inv, z_inv)
     return (ops.mul(X, z_inv2), ops.mul(Y, ops.mul(z_inv2, z_inv)))
-
-
-def _on_curve(pt, b, ops) -> bool:
-    if pt is None:
-        return True
-    x, y = pt
-    lhs = ops.mul(y, y)
-    rhs = ops.add(ops.mul(ops.mul(x, x), x), b)
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +297,18 @@ def _prepare_lines(q):
 
 
 def _mul_by_line(f, line, xp, yp):
-    """f times the value of a prepared line at the G1 point (xp, yp): the
-    sparse -y_P + (l x_P) w + c w^3, nonzero at w^0, w^1, w^3, w^7 and w^9."""
-    if len(line) == 2:  # the vertical line x_P - x1 w^2
-        return fq12_mul(f, (xp, 0, line[0], 0, 0, 0, 0, 0, line[1], 0, 0, 0))
-    l1, l7, l3, l9 = line[0] * xp % P, line[1] * xp % P, line[2], line[3]
+    """f times the value of a prepared line at the G1 point (xp, yp), a
+    sparse product: -y_P + (l x_P) w + c w^3 is nonzero at w^0, w^1, w^3,
+    w^7 and w^9, the vertical line x_P - x1 w^2 at w^0, w^2 and w^8."""
     acc = [0] * 21
+    if len(line) == 2:
+        v2, v8 = line
+        for i, fi in enumerate(f):
+            acc[i] += fi * xp
+            acc[i + 2] += fi * v2
+            acc[i + 8] += fi * v8
+        return _fold(acc)
+    l1, l7, l3, l9 = line[0] * xp % P, line[1] * xp % P, line[2], line[3]
     for i, fi in enumerate(f):
         acc[i] -= fi * yp
         acc[i + 1] += fi * l1
@@ -443,7 +422,11 @@ class _CurvePoint:
     point: tuple | None
 
     def __add__(self, other):
-        return type(self)(_pt_add(self.point, other.point, self._ops))
+        """The sum through _pt_mul's Jacobian addition and one inversion."""
+        if self.point is None or other.point is None:
+            return other if self.point is None else self
+        ops = self._ops
+        return type(self)(_to_affine(*_jac_add_affine(*self.point, ops.one, other.point, ops), ops))
 
     def __neg__(self):
         return type(self)(_pt_neg(self.point, self._ops))
@@ -454,8 +437,13 @@ class _CurvePoint:
     def is_identity(self) -> bool:
         return self.point is None
 
-    def on_curve(self) -> bool:
-        return _on_curve(self.point, self._b, self._ops)
+    def check(self):
+        """Raise CryptoError unless the point lies in its group. G1 is the
+        whole base curve (cofactor 1), so there the curve equation suffices."""
+        if self.point is not None:
+            (x, y), ops = self.point, self._ops
+            if ops.mul(y, y) != ops.add(ops.mul(ops.mul(x, x), x), self._b):
+                raise CryptoError(f"{type(self).__name__} not on its curve")
 
 
 class G1Point(_CurvePoint):
@@ -464,6 +452,20 @@ class G1Point(_CurvePoint):
 
 class G2Point(_CurvePoint):
     _ops, _b = _FQ2_OPS, TWIST_B
+
+    def check(self):
+        """Also require r Q = 0: the twist has cofactor 2p - r, so a twist
+        point need not lie in G2 (Barreto et al., "Subgroup Security in
+        Pairing-Based Cryptography", LATINCRYPT 2015). A point that passes
+        keeps the result, like its lines."""
+        self._in_g2  # raises, or reads the cached pass
+
+    @cached_property
+    def _in_g2(self):
+        super().check()
+        if _pt_mul(self.point, CURVE_ORDER, _FQ2_OPS) is not None:
+            raise CryptoError("G2Point is not in the order-r subgroup")
+        return True
 
     @cached_property
     def lines(self):  # prepared on first use (Costello and Stebila, "Fixed argument pairings")
@@ -530,14 +532,9 @@ class Bn254Suite:
     def pair_product(self, pairs) -> GtElement:
         pairs = list(pairs)
         for a, b in pairs:
-            self._check_points(a, b)
+            a.check()
+            b.check()
         return GtElement(final_exponentiation(miller_loop_product(pairs)))
-
-    @staticmethod
-    def _check_points(a: G1Point, b: G2Point):
-        for pt in (a, b):
-            if not pt.on_curve():
-                raise CryptoError(f"{type(pt).__name__} not on its curve")
 
     # -- wire format ---------------------------------------------------------
     def g1_serialize(self, pt: G1Point) -> bytes:
@@ -553,9 +550,10 @@ class Bn254Suite:
             return G1Point(None)
         x = int.from_bytes(data[:32], "big")
         y = int.from_bytes(data[32:], "big")
+        if x >= P or y >= P:
+            raise CryptoError("G1 encoding out of range")
         pt = G1Point((x, y))
-        if x >= P or y >= P or not pt.on_curve():
-            raise CryptoError("G1 encoding is not a curve point")
+        pt.check()
         return pt
 
     def g2_serialize(self, pt: G2Point) -> bytes:
@@ -573,11 +571,7 @@ class Bn254Suite:
         if any(v >= P for v in vals):
             raise CryptoError("G2 encoding out of range")
         pt = G2Point(((vals[0], vals[1]), (vals[2], vals[3])))
-        if not pt.on_curve():
-            raise CryptoError("G2 encoding is not a twist point")
-        # The twist has cofactor 2p - r, so a twist point need not lie in G2.
-        if _pt_mul(pt.point, CURVE_ORDER, _FQ2_OPS) is not None:
-            raise CryptoError("G2 encoding is not in the order-r subgroup")
+        pt.check()
         return pt
 
     def params_summary(self) -> dict:

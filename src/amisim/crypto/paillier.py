@@ -2,12 +2,14 @@
 
 Multiplying two ciphertexts modulo n^2 adds their plaintexts modulo n,
 which is what lets an untrusted aggregator sum meter readings it cannot
-read. Keys use the g = n + 1 variant, so encryption needs a single modular
-exponentiation, r^n mod n^2, which does not depend on the plaintext and
-can be computed ahead (randomizers). The private key keeps the primes p
-and q, and decryption works modulo p^2 and q^2 with half-size exponents,
-then joins the two halves by the Chinese remainder theorem (Paillier,
-EUROCRYPT 1999, sec. 7).
+read. A ciphertext is a plain int in Z*_{n^2}. Keys use the g = n + 1
+variant, so encryption needs a single modular exponentiation, r^n mod n^2,
+which does not depend on the plaintext and can be computed ahead
+(randomizers). encrypt takes that randomizer precomputed or draws r from
+the caller's rng; it has no entropy source of its own. The private key
+keeps the primes p and q, and decryption works modulo p^2 and q^2 with
+half-size exponents, then joins the two halves by the Chinese remainder
+theorem (Paillier, EUROCRYPT 1999, sec. 7).
 
 Key sizes below 2048 bits are for tests only; they keep the algebra intact
 but offer no real security margin.
@@ -62,11 +64,6 @@ class PaillierPrivateKey:
         object.__setattr__(self, "h_p", pow(-q, -1, p))
         object.__setattr__(self, "h_q", pow(-p, -1, q))
         object.__setattr__(self, "q_inv", pow(q, -1, p))
-
-
-@dataclass(frozen=True)
-class Ciphertext:
-    value: int
 
 
 @functools.cache
@@ -163,44 +160,40 @@ def randomizers(n: int, n_sq: int, rs) -> list[int]:
 def encrypt(
     pk: PaillierPublicKey,
     m: int,
-    r: int | None = None,
     rng: random.Random | None = None,
     randomizer: int | None = None,
-) -> Ciphertext:
+) -> int:
     """Encrypt m in [0, n) as (1 + m n) R mod n^2, R = r^n mod n^2.
 
     r is one-time and in Z_n*: reusing it across messages leaks plaintext
     differences. R may come precomputed (see randomizers), which leaves one
-    multiply online; otherwise r defaults to a fresh draw per call (from rng
-    when given, else the OS). Both ways give the same ciphertext for the
-    same r.
+    multiply online; otherwise r is drawn from rng here. Both ways give the
+    same ciphertext for the same r.
     """
     if not isinstance(m, int) or not 0 <= m < pk.n:
         raise CryptoError(f"plaintext must be an int in [0, n), got {m!r}")
     if randomizer is None:
-        if r is None:
-            r = draw_r(pk, rng if rng is not None else random.SystemRandom())
-        elif not 1 <= r < pk.n or math.gcd(r, pk.n) != 1:
-            raise CryptoError("r must be in the multiplicative group Z_n*")
-        randomizer = pow(r, pk.n, pk.n_sq)
-    elif r is not None or not 0 < randomizer < pk.n_sq:
-        raise CryptoError("a randomizer must be in (0, n^2) and come without r")
+        if rng is None:
+            raise CryptoError("encrypt needs an rng or a randomizer")
+        (randomizer,) = randomizers(pk.n, pk.n_sq, [draw_r(pk, rng)])
+    elif not 0 < randomizer < pk.n_sq:
+        raise CryptoError("a randomizer must be in (0, n^2)")
     g_m = (1 + m * pk.n) % pk.n_sq  # (n + 1)^m mod n^2
-    return Ciphertext(value=(g_m * randomizer) % pk.n_sq)
+    return g_m * randomizer % pk.n_sq
 
 
-def decrypt(sk: PaillierPrivateKey, pk: PaillierPublicKey, c: Ciphertext) -> int:
-    if not 0 < c.value < pk.n_sq or math.gcd(c.value, pk.n) != 1:
+def decrypt(sk: PaillierPrivateKey, pk: PaillierPublicKey, c: int) -> int:
+    if not 0 < c < pk.n_sq or math.gcd(c, pk.n) != 1:
         raise CryptoError("ciphertext is not in Z*_{n^2}")
     # m = L_p(c^(p-1) mod p^2) h_p mod p, where L_p(u) = (u - 1) / p, and the same mod q.
-    m_p = (pow(c.value, sk.p - 1, sk.p_sq) - 1) // sk.p * sk.h_p % sk.p
-    m_q = (pow(c.value, sk.q - 1, sk.q_sq) - 1) // sk.q * sk.h_q % sk.q
+    m_p = (pow(c, sk.p - 1, sk.p_sq) - 1) // sk.p * sk.h_p % sk.p
+    m_q = (pow(c, sk.q - 1, sk.q_sq) - 1) // sk.q * sk.h_q % sk.q
     return m_q + (m_p - m_q) * sk.q_inv % sk.p * sk.q
 
 
-def hom_add(c1: Ciphertext, c2: Ciphertext, pk: PaillierPublicKey) -> Ciphertext:
-    """Ciphertext of the plaintext sum (mod n)."""
-    return Ciphertext(value=(c1.value * c2.value) % pk.n_sq)
+def hom_add(c1: int, c2: int, pk: PaillierPublicKey) -> int:
+    """The ciphertext of the plaintext sum (mod n)."""
+    return c1 * c2 % pk.n_sq
 
 
 def encode_reading(

@@ -1,14 +1,15 @@
 """Hash-and-sign signatures with pairing-based batch verification.
 
 A signer with secret x publishes Y = x*P (P the public-key-side generator)
-and signs a payload as sigma = x*H(payload). A batch of w signatures
-verifies in one shot via the small-exponents test
+and signs a payload as sigma = x*H(payload), a bare G1-side element. Every
+check, of one signature or of w, is the small-exponents test
 
     e(sum r_i sigma_i, P) == prod e(r_i H(payload_i), Y_i)
 
-with short exponents r_i derived from the batch. Both backends evaluate it
-as a single pairing product against one target-group identity check, so a
-batch costs one final exponentiation.
+with short exponents r_i derived from the batch, the first fixed at 1, so
+a batch of one is the plain equation e(sigma, P) == e(H(payload), Y).
+Both backends evaluate it as a single pairing product against one
+target-group identity check, so a check costs one final exponentiation.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ from amisim.errors import CryptoError
 class SigKeypair:
     x: int
     public: object  # Y = x * P, a G2-side element of the active suite
-
-
-@dataclass(frozen=True)
-class Signature:
-    sigma: object  # G1-side element of the active suite
 
 
 def sig_keygen(suite, rng) -> SigKeypair:
@@ -53,40 +49,36 @@ def canonical_payload(ciphertext_value: int, ts_ms: int) -> bytes:
     return len(c_bytes).to_bytes(4, "big") + c_bytes + ts_ms.to_bytes(8, "big")
 
 
-def sign(x: int, payload: bytes, suite) -> Signature:
-    return Signature(sigma=x * suite.hash_to_g1(payload))
+def sign(x: int, payload: bytes, suite):
+    """sigma = x H(payload), a G1-side element of the suite."""
+    return x * suite.hash_to_g1(payload)
 
 
-def verify_single(signature: Signature, public, payload: bytes, suite) -> bool:
-    """Check e(sigma, P) == e(H(payload), Y); identity sigma is rejected."""
-    if signature.sigma.is_identity():
-        return False
-    h = suite.hash_to_g1(payload)
-    check = suite.pair_product(
-        [(signature.sigma, suite.g2_generator()), (-h, public)]
-    )
-    return check.is_one()
+def verify_single(sigma, public, payload: bytes, suite) -> bool:
+    """batch_verify of the one item: e(sigma, P) == e(H(payload), Y)."""
+    return batch_verify([(sigma, public, payload)], suite)
 
 
 def batch_verify(items, suite) -> bool:
-    """Verify [(signature, public, payload), ...] as one batched equation.
+    """Verify [(sigma, public, payload), ...] as one batched equation.
 
     Small-exponents test (Bellare, Garay and Rabin, EUROCRYPT 1998): checks
     e(sum r_i sigma_i, P) == prod e(r_i H(payload_i), Y_i), where the r_i
     are 64-bit exponents derived by hashing the whole batch, so a run is
-    deterministic. A batch with any item that fails verify_single passes
-    only if the hash lands on one exponent in 2^64; with all r_i = 1 a
-    pair sigma_1 + d, sigma_2 - d would cancel and pass.
+    deterministic. A batch with any item that fails alone passes only if
+    the hash lands on one exponent in 2^64; with all r_i = 1 a pair
+    sigma_1 + d, sigma_2 - d would cancel and pass. An identity sigma is
+    rejected.
     """
     items = list(items)
     if not items:
         raise CryptoError("batch_verify requires at least one item")
-    if any(signature.sigma.is_identity() for signature, _, _ in items):
+    if any(sigma.is_identity() for sigma, _, _ in items):
         return False
     sigma_sum = suite.g1_identity()
     pairs = []
-    for r, (signature, public, payload) in zip(_batch_exponents(items, suite), items):
-        sigma_sum = sigma_sum + r * signature.sigma
+    for r, (sigma, public, payload) in zip(_batch_exponents(items, suite), items):
+        sigma_sum = sigma_sum + r * sigma
         pairs.append((r * suite.hash_to_g1(payload), public))
     check = suite.pair_product([(-sigma_sum, suite.g2_generator())] + pairs)
     return check.is_one()
@@ -101,9 +93,9 @@ def _batch_exponents(items, suite) -> list[int]:
     multiplications per batch.
     """
     digest = hashlib.sha256(b"batch|")
-    for signature, public, payload in items:
+    for sigma, public, payload in items:
         digest.update(
-            suite.g1_serialize(signature.sigma)
+            suite.g1_serialize(sigma)
             + suite.g2_serialize(public)
             + len(payload).to_bytes(4, "big")
             + payload

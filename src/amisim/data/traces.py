@@ -286,6 +286,12 @@ class SyntheticConfig:
             raise ConfigError("absence_probability must be in [0, 1]")
         if self.base_load_mean_kwh <= 0:
             raise ConfigError("base_load_mean_kwh must be > 0")
+        for name in ("event_duration_minutes", "event_duration_jitter", "event_gap_jitter"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        # A spread above 1 can make a household's mean event duration negative.
+        if not 0.0 <= self.consumer_duration_spread <= 1.0:
+            raise ConfigError("consumer_duration_spread must be in [0, 1]")
 
 
 def synthesize(config: SyntheticConfig):

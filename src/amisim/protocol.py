@@ -22,7 +22,6 @@ import numpy as np
 # apply_cat and defense_decide are not called here; perfbench/spans.py traces them by these names.
 from amisim.cat import CatConfig, apply_cat, cat_decide, efficiency, patterns_for_traces  # noqa: F401
 from amisim.crypto import (
-    Ciphertext,
     PaillierPrivateKey,
     PaillierPublicKey,
     batch_verify,
@@ -40,7 +39,7 @@ from amisim.crypto import (
     sign,
     verify_single,
 )
-from amisim.crypto.signatures import SigKeypair, Signature
+from amisim.crypto.signatures import SigKeypair
 from amisim.data.traces import ConsumptionTrace, PresenceLabel, format_day_key, resample
 from amisim.defense import DefenseBundle, defense_decide, simulate_corpus  # noqa: F401
 from amisim.errors import (
@@ -81,7 +80,7 @@ class ReadingMsg:
     sender_id: str
     ciphertext: int
     ts_ms: int
-    sigma: Signature
+    sigma: object  # a G1-side element of params.suite
 
     def payload(self) -> bytes:
         return canonical_payload(self.ciphertext, self.ts_ms)
@@ -91,7 +90,7 @@ class ReadingMsg:
 class AggMsg:
     ciphertext: int
     ts_ms: int
-    sigma: Signature
+    sigma: object  # a G1-side element of params.suite
 
     def payload(self) -> bytes:
         return canonical_payload(self.ciphertext, self.ts_ms)
@@ -186,11 +185,8 @@ def sm_report(
     state.last_reported = float(reading_kwh)
     m = encode_reading(reading_kwh, pk=params.paillier_pk, meter_count=len(params.sm_publics))
     c = encrypt(params.paillier_pk, m, rng=state.rng, randomizer=randomizer)
-    payload = canonical_payload(c.value, now_ms)
-    sigma = sign(state.keypair.x, payload, params.suite)
-    return ReadingMsg(
-        sender_id=state.sm_id, ciphertext=c.value, ts_ms=now_ms, sigma=sigma
-    )
+    sigma = sign(state.keypair.x, canonical_payload(c, now_ms), params.suite)
+    return ReadingMsg(sender_id=state.sm_id, ciphertext=c, ts_ms=now_ms, sigma=sigma)
 
 
 def aggregator_collect(
@@ -235,7 +231,7 @@ def aggregator_collect(
         if msg.ts_ms <= state.last_ts_ms.get(msg.sender_id, -1):
             state.dropped_stale += 1
             continue
-        state.store[msg.sender_id] = Ciphertext(value=msg.ciphertext)
+        state.store[msg.sender_id] = msg.ciphertext
         state.last_ts_ms[msg.sender_id] = msg.ts_ms
 
     missing = set(state.directory) - set(state.store)
@@ -243,12 +239,11 @@ def aggregator_collect(
         raise ProtocolError(
             f"no stored ciphertext for {len(missing)} meters (bootstrap incomplete)"
         )
-    total = Ciphertext(value=1)  # the encryption of 0 with r = 1
+    total = 1  # the encryption of 0 with r = 1
     for sm_id in sorted(state.store):
         total = hom_add(total, state.store[sm_id], params.paillier_pk)
-    payload = canonical_payload(total.value, now_ms)
-    sigma = sign(state.keypair.x, payload, params.suite)
-    return AggMsg(ciphertext=total.value, ts_ms=now_ms, sigma=sigma)
+    sigma = sign(state.keypair.x, canonical_payload(total, now_ms), params.suite)
+    return AggMsg(ciphertext=total, ts_ms=now_ms, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,7 @@ def eu_recover(
         state.rejected_bad_sig += 1
         raise VerificationError("aggregate signature check failed")
     state.last_ts_ms = msg.ts_ms
-    total = decrypt(state.paillier_sk, params.paillier_pk, Ciphertext(value=msg.ciphertext))
+    total = decrypt(state.paillier_sk, params.paillier_pk, msg.ciphertext)
     return RecoveredTotal(total_kwh=decode_reading(total), total_encoded=total)
 
 

@@ -4,13 +4,14 @@ The program runs the defense as one corpus schedule
 (amisim.defense.simulate_corpus), the defense-aware attacker as the CLI's
 threeclass_sets -> train_threeclass -> evaluate_threeclass sequence, a GRU
 layer as one folded scan over the whole batch, the prime test with a
-small-factor gcd before Miller-Rabin, bn254 scalar multiplication in
-Jacobian coordinates and a bn254 pairing product as one Miller loop over
-lines prepared once per G2 point. The definitions here are the plain forms:
-a ring-buffer memory and a slot-by-slot day loop that calls defense_decide,
-the attack as one function, the textbook GRU step, plain Miller-Rabin,
-affine double-and-add and one Miller loop per pair, which computes each
-line and each step of R with its own inversion. pytest does not collect
+small-factor gcd before Miller-Rabin, bn254 point addition and scalar
+multiplication in Jacobian coordinates and a bn254 pairing product as one
+Miller loop over lines prepared once per G2 point. The definitions here
+are the plain forms: a ring-buffer memory and a slot-by-slot day loop that
+calls defense_decide, the attack as one function, the textbook GRU step,
+plain Miller-Rabin, the affine addition and doubling laws with
+double-and-add over them, and one Miller loop per pair, which computes
+each line and each step of R with its own inversion. pytest does not collect
 this module; tests import from it.
 """
 
@@ -34,8 +35,6 @@ from amisim.crypto.bn254 import (
     LOG_ATE_LOOP_COUNT,
     P,
     _frobenius,
-    _pt_add,
-    _pt_double,
     _pt_neg,
     fq2_inv,
     fq2_mul,
@@ -179,14 +178,45 @@ def is_probable_prime(n: int, rng) -> bool:
     return True
 
 
+def pt_double(pt, ops):
+    """2 pt in affine coordinates, one inversion; None is the identity."""
+    if pt is None:
+        return None
+    x, y = pt
+    if y == ops.zero:
+        return None
+    slope = ops.mul(ops.scalar(ops.mul(x, x), 3), ops.inv(ops.scalar(y, 2)))
+    nx = ops.sub(ops.mul(slope, slope), ops.scalar(x, 2))
+    ny = ops.sub(ops.mul(slope, ops.sub(x, nx)), y)
+    return (nx, ny)
+
+
+def pt_add(p1, p2, ops):
+    """p1 + p2 in affine coordinates, one inversion; None is the identity."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 == x2:
+        if y1 == y2:
+            return pt_double(p1, ops)
+        return None
+    slope = ops.mul(ops.sub(y2, y1), ops.inv(ops.sub(x2, x1)))
+    nx = ops.sub(ops.sub(ops.mul(slope, slope), x1), x2)
+    ny = ops.sub(ops.mul(slope, ops.sub(x1, nx)), y1)
+    return (nx, ny)
+
+
 def pt_mul(pt, k, ops):
     """k * pt by right-to-left double-and-add in affine coordinates."""
     result = None
     addend = pt
     while k:
         if k & 1:
-            result = _pt_add(result, addend, ops)
-        addend = _pt_double(addend, ops)
+            result = pt_add(result, addend, ops)
+        addend = pt_double(addend, ops)
         k >>= 1
     return result
 
@@ -219,14 +249,14 @@ def miller_loop(q, p):
     f = FQ12_ONE
     for i in range(LOG_ATE_LOOP_COUNT, -1, -1):
         f = fq12_mul(fq12_mul(f, f), _line(r, r, p))
-        r = _pt_double(r, _FQ2_OPS)
+        r = pt_double(r, _FQ2_OPS)
         if ATE_LOOP_COUNT & (2**i):
             f = fq12_mul(f, _line(r, q, p))
-            r = _pt_add(r, q, _FQ2_OPS)
+            r = pt_add(r, q, _FQ2_OPS)
     q1 = _frobenius(q)
     nq2 = _pt_neg(_frobenius(q1), _FQ2_OPS)
     f = fq12_mul(f, _line(r, q1, p))
-    r = _pt_add(r, q1, _FQ2_OPS)
+    r = pt_add(r, q1, _FQ2_OPS)
     return fq12_mul(f, _line(r, nq2, p))
 
 

@@ -33,7 +33,6 @@ from amisim.crypto import (
     sign,
     verify_single,
 )
-from amisim.crypto.signatures import Signature
 from amisim.data import PresenceLabel, SyntheticConfig, resample, synthesize
 from amisim.defense import (
     DefenseBundle,
@@ -215,9 +214,7 @@ def test_criterion_2_signature_equivalence():
             idx = rng.randrange(w)
             kind = rng.randrange(3)
             if kind == 0:
-                items[idx][0] = Signature(
-                    sigma=items[idx][0].sigma + suite.g1_generator()
-                )
+                items[idx][0] = items[idx][0] + suite.g1_generator()
             elif kind == 1:
                 items[idx][1] = signers[rng.randrange(len(signers))].public
                 if verify_single(items[idx][0], items[idx][1], items[idx][2], suite):
@@ -244,10 +241,10 @@ def test_criterion_2_signature_equivalence():
         sig, pub, payload = mutated[idx]
         rejected_on_parse = False
         if field == 0:
-            raw = bytearray(suite.g1_serialize(sig.sigma))
+            raw = bytearray(suite.g1_serialize(sig))
             raw[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
             try:
-                mutated[idx][0] = Signature(sigma=suite.g1_deserialize(bytes(raw)))
+                mutated[idx][0] = suite.g1_deserialize(bytes(raw))
             except CryptoError:
                 rejected_on_parse = True
         elif field == 1:

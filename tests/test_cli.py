@@ -151,6 +151,22 @@ def test_bad_config_exits_2(corpus_files, tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("consumers, flag, value, field", [
+    (2, "--event-duration", "-1", "event_duration_minutes"),
+    (2, "--duration-jitter", "-1", "event_duration_jitter"),
+    (2, "--gap-jitter", "-0.5", "event_gap_jitter"),
+    (12, "--duration-spread", "3", "consumer_duration_spread"),
+    (12, "--duration-spread", "-0.5", "consumer_duration_spread"),
+])
+def test_synth_out_of_range_exits_2(tmp_path, capsys, consumers, flag, value, field):
+    # Each of these once reached numpy's normal() with a negative scale.
+    argv = ["synth", "--consumers", str(consumers), "--days", "1", "--seed", "1",
+            "--out", str(tmp_path / "t.csv"), "--truth", str(tmp_path / "t.json"), flag, value]
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_train_defense_negative_max_windows_exits_2(corpus_files, tmp_path, capsys):
     traces, truth = corpus_files
     labeled = str(tmp_path / "labeled.jsonl")

@@ -10,7 +10,6 @@ import amisim
 import reference
 from amisim.crypto import pairing, paillier
 from amisim.crypto import (
-    Ciphertext,
     decode_reading,
     decrypt,
     draw_r,
@@ -64,20 +63,22 @@ def test_encrypt_deterministic_with_fixed_r(keys):
     pk, _ = keys
     r = 0x1234567
     assert math.gcd(r, pk.n) == 1
-    c1 = encrypt(pk, 42, r=r)
-    c2 = encrypt(pk, 42, r=r)
-    assert c1.value == c2.value
+    (randomizer,) = randomizers(pk.n, pk.n_sq, [r])
+    c1 = encrypt(pk, 42, randomizer=randomizer)
+    c2 = encrypt(pk, 42, randomizer=randomizer)
+    assert c1 == c2
     c3 = encrypt(pk, 42, rng=random.Random(5))
     c4 = encrypt(pk, 42, rng=random.Random(6))
-    assert c3.value != c4.value
+    assert c3 != c4
 
 
 def test_encrypt_rejects_bad_r(keys):
     pk, _ = keys
+    # r = 0 and r = n are not in Z_n*; both give the randomizer 0, which is refused.
     with pytest.raises(CryptoError):
-        encrypt(pk, 1, r=0)
+        encrypt(pk, 1, randomizer=randomizers(pk.n, pk.n_sq, [0])[0])
     with pytest.raises(CryptoError):
-        encrypt(pk, 1, r=pk.n)
+        encrypt(pk, 1, randomizer=randomizers(pk.n, pk.n_sq, [pk.n])[0])
 
 
 def test_encrypt_with_precomputed_randomizer_matches_online(keys):
@@ -85,9 +86,10 @@ def test_encrypt_with_precomputed_randomizer_matches_online(keys):
     rng = random.Random(31)
     rs = [draw_r(pk, rng) for _ in range(5)]
     offline = randomizers(pk.n, pk.n_sq, rs)
-    for m, r, randomizer in zip([0, 1, 7, pk.n - 1, 10**6], rs, offline):
+    online = random.Random(31)  # the same r, drawn inside encrypt
+    for m, randomizer in zip([0, 1, 7, pk.n - 1, 10**6], offline):
         c = encrypt(pk, m, randomizer=randomizer)
-        assert c == encrypt(pk, m, r=r)
+        assert c == encrypt(pk, m, rng=online)
         assert decrypt(sk, pk, c) == m
     # A drawn r is the same r whether drawn here or inside encrypt.
     assert encrypt(pk, 9, rng=random.Random(31)) == encrypt(pk, 9, randomizer=offline[0])
@@ -99,8 +101,10 @@ def test_encrypt_rejects_bad_randomizer(keys):
     for bad in (0, pk.n_sq):
         with pytest.raises(CryptoError):
             encrypt(pk, 1, randomizer=bad)
-    with pytest.raises(CryptoError):
+    with pytest.raises(TypeError):  # encrypt takes no r: one comes only from rng or as R
         encrypt(pk, 1, r=0x1234567, randomizer=good)
+    with pytest.raises(CryptoError):  # and without either there is nothing to encrypt with
+        encrypt(pk, 1)
 
 
 def test_encrypt_rejects_out_of_range(keys):
@@ -116,7 +120,7 @@ def test_ciphertexts_coprime_to_n_squared(keys):
     rng = random.Random(11)
     for _ in range(25):
         c = encrypt(pk, rng.randrange(pk.n), rng=rng)
-        assert math.gcd(c.value, pk.n_sq) == 1
+        assert math.gcd(c, pk.n_sq) == 1
 
 
 def test_hom_add_basics(keys):
@@ -149,7 +153,7 @@ def test_crt_decrypt_equals_lambda_mu_formula(keys):
     mu = pow(lam, -1, pk.n)
 
     def reference(c):
-        return (pow(c.value, lam, pk.n_sq) - 1) // pk.n * mu % pk.n
+        return (pow(c, lam, pk.n_sq) - 1) // pk.n * mu % pk.n
 
     rng = random.Random(23)
     plaintexts = [0, 1, pk.n - 1] + [rng.randrange(pk.n) for _ in range(20)]
@@ -168,7 +172,7 @@ def test_crt_decrypt_equals_lambda_mu_formula(keys):
 def test_decrypt_rejects_bad_ciphertext(keys):
     pk, sk = keys
     with pytest.raises(CryptoError):
-        decrypt(sk, pk, Ciphertext(value=pk.n))  # shares a factor with n
+        decrypt(sk, pk, pk.n)  # shares a factor with n
 
 
 def test_reading_codec_round_trip():

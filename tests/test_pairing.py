@@ -108,11 +108,9 @@ def test_bn254_known_answers(bn_suite):
 
 
 def test_bn254_hash_to_g1_on_curve(bn_suite):
-    from amisim.crypto.bn254 import CURVE_B, _FP_OPS, _on_curve
-
     for i in range(6):
         pt = bn_suite.hash_to_g1(b"payload-%d" % i)
-        assert _on_curve(pt.point, CURVE_B, _FP_OPS)
+        pt.check()  # raises CryptoError off the curve
     a = bn_suite.hash_to_g1(b"same")
     b = bn_suite.hash_to_g1(b"same")
     assert a == b
@@ -184,7 +182,8 @@ def _twist_point_outside_g2():
     y = _fq2_sqrt(fq2_add(fq2_mul(fq2_mul(x, x), x), TWIST_B))
     assert y is not None
     pt = G2Point((x, y))
-    assert pt.on_curve()
+    with pytest.raises(CryptoError, match="subgroup"):  # on the twist: only r Q = 0 fails
+        pt.check()
     return pt
 
 
@@ -200,11 +199,23 @@ def test_bn254_g2_deserialize_rejects_points_outside_subgroup(bn_suite):
     assert bn_suite.g2_deserialize(bn_suite.g2_serialize(g2_pt)) == g2_pt
 
 
+def test_bn254_pair_product_rejects_points_outside_g2(bn_suite):
+    """pair_product checks each G2 argument's subgroup, alone and inside a
+    product, as g2_deserialize does; a miller_loop_product would accept it."""
+    outside = _twist_point_outside_g2()
+    g1, g2 = bn_suite.g1_generator(), bn_suite.g2_generator()
+    for pairs in ([(g1, outside)], [(g1, g2), (3 * g1, outside)], [(bn_suite.g1_identity(), outside)]):
+        with pytest.raises(CryptoError, match="subgroup"):
+            bn_suite.pair_product(pairs)
+    assert "_in_g2" not in vars(outside)  # a failed check is not kept
+    assert bn_suite.pair_product([(g1, g2), (-g1, g2)]).is_one()
+
+
 @pytest.mark.parametrize("group", ["G1", "G2"])
 def test_bn254_jacobian_pt_mul_equals_affine_double_and_add(group):
     from amisim.crypto.bn254 import (
         CURVE_ORDER as R, FIELD_MODULUS as P, G1_GENERATOR, G2_GENERATOR, _FP_OPS, _FQ2_OPS,
-        _pt_mul,
+        G1Point, G2Point, _pt_mul,
     )
 
     gen, ops = (G1_GENERATOR, _FP_OPS) if group == "G1" else (G2_GENERATOR, _FQ2_OPS)
@@ -219,6 +230,16 @@ def test_bn254_jacobian_pt_mul_equals_affine_double_and_add(group):
             assert _pt_mul(pt, k, ops) == reference.pt_mul(pt, k, ops), k
     for k in (0, 1, 5, R):
         assert _pt_mul(None, k, ops) is None
+    # Point addition runs the same Jacobian formulas and one to-affine step.
+    point = G1Point if group == "G1" else G2Point
+    a, b = points
+    minus_a = reference.pt_mul(a, R - 1, ops)
+    pairs = [(a, a), (b, b), (a, minus_a), (None, a), (a, None), (None, None), (a, b), (b, a)]
+    pairs += [(reference.pt_mul(gen, rng.randrange(1, R), ops),
+               reference.pt_mul(gen, rng.randrange(1, R), ops)) for _ in range(4)]
+    for x, y in pairs:
+        assert (point(x) + point(y)).point == reference.pt_add(x, y, ops), (x, y)
+    assert (point(a) + point(minus_a)).is_identity()
     if group == "G2":
         outside = _twist_point_outside_g2().point
         for k in (2 * P - R, R, (2 * P - R) * R, rng.getrandbits(254)):
@@ -345,6 +366,6 @@ def test_bn254_deserialize_fuzz_raises_crypto_error_or_round_trips(bn_suite, gro
         pt = decode(raw)
     except CryptoError:
         return
-    assert pt.on_curve()
+    pt.check()  # raises CryptoError outside its group
     assert encode(pt) == raw
     assert decode(encode(pt)) == pt

@@ -437,7 +437,7 @@ def _recorded_run(monkeypatch, scenario, cpus):
 
     def encrypt_recorded(pk, m, **kwargs):
         c = real_encrypt(pk, m, **kwargs)
-        encrypted.append((m, c.value))
+        encrypted.append((m, c))
         return c
 
     monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
@@ -464,7 +464,7 @@ def test_run_simulation_messages_do_not_depend_on_worker_count(monkeypatch, seed
     master = random.Random(seed)
     rngs = {f"sm{i:04d}": random.Random(master.randrange(2**63)) for i in range(4)}
     for sender, m, c in sent:
-        assert encrypt(pk, m, rng=rngs[sender]).value == c
+        assert encrypt(pk, m, rng=rngs[sender]) == c
 
 
 def _reachable(obj):
@@ -555,7 +555,6 @@ def test_offline_randomizers_finish_with_results_larger_than_a_pipe_buffer(monke
 
 def test_bn254_protocol_run_exact_and_drops_forgeries():
     from amisim.crypto import batch_verify, verify_single
-    from amisim.crypto.signatures import Signature
 
     params, eu_sk, sm_keys, agg_key = kdc_setup(
         SetupConfig(sm_count=3, paillier_bits=512, pairing_backend="bn254", seed=12)
@@ -578,7 +577,7 @@ def test_bn254_protocol_run_exact_and_drops_forgeries():
             msg = sm_report(params, sms[sm_id], kwh, None, CAT30, now, force=True)
             if (slot, sm_id) == (forged_slot, forged_meter):
                 msg = ReadingMsg(msg.sender_id, msg.ciphertext, msg.ts_ms,
-                                 Signature(sigma=msg.sigma.sigma + g1))
+                                 msg.sigma + g1)
             else:
                 shadow[sm_id] = encode_reading(kwh)
             msgs.append(msg)
@@ -597,8 +596,8 @@ def test_bn254_protocol_run_exact_and_drops_forgeries():
     assert batch_verify(items, params.suite)
     (s1, y1, p1), (s2, y2, p2) = items
     cancelling = [
-        (Signature(sigma=s1.sigma + delta), y1, p1),
-        (Signature(sigma=s2.sigma + (-delta)), y2, p2),
+        (s1 + delta, y1, p1),
+        (s2 + (-delta), y2, p2),
     ]
     assert not any(verify_single(*item, params.suite) for item in cancelling)
     assert not batch_verify(cancelling, params.suite)

@@ -10,7 +10,6 @@ from amisim.crypto import (
     sign,
     verify_single,
 )
-from amisim.crypto.signatures import Signature
 from amisim.errors import CryptoError
 
 
@@ -64,14 +63,14 @@ def test_verify_rejects_shifted_sigma(suite):
     rng = random.Random(3)
     kp = sig_keygen(suite, rng)
     sig = sign(kp.x, b"payload", suite)
-    forged = Signature(sigma=sig.sigma + suite.g1_generator())
+    forged = sig + suite.g1_generator()
     assert not verify_single(forged, kp.public, b"payload", suite)
 
 
 def test_verify_rejects_identity_sigma(suite):
     rng = random.Random(4)
     kp = sig_keygen(suite, rng)
-    assert not verify_single(Signature(sigma=suite.g1_identity()), kp.public, b"p", suite)
+    assert not verify_single(suite.g1_identity(), kp.public, b"p", suite)
 
 
 def test_pairing_sides_agree_for_honest_signature(suite):
@@ -79,7 +78,7 @@ def test_pairing_sides_agree_for_honest_signature(suite):
     kp = sig_keygen(suite, rng)
     payload = b"compare-both-sides"
     sig = sign(kp.x, payload, suite)
-    lhs = suite.pair(sig.sigma, suite.g2_generator())
+    lhs = suite.pair(sig, suite.g2_generator())
     rhs = suite.pair(suite.hash_to_g1(payload), kp.public)
     assert lhs == rhs
 
@@ -113,9 +112,7 @@ def test_batch_detects_each_tampered_index(suite):
         items.append([sign(kp.x, payload, suite), kp.public, payload])
     for bad in range(len(items)):
         tampered = [list(it) for it in items]
-        tampered[bad][0] = Signature(
-            sigma=tampered[bad][0].sigma + suite.g1_generator()
-        )
+        tampered[bad][0] = tampered[bad][0] + suite.g1_generator()
         assert not batch_verify([tuple(it) for it in tampered], suite)
         culprits = [
             idx
@@ -137,8 +134,8 @@ def test_batch_rejects_cancelling_pair(suite, pair):
         items.append([sign(kp.x, payload, suite), kp.public, payload])
     delta = 5 * suite.g1_generator()
     first, second = pair
-    items[first][0] = Signature(sigma=items[first][0].sigma + delta)
-    items[second][0] = Signature(sigma=items[second][0].sigma + (-delta))
+    items[first][0] = items[first][0] + delta
+    items[second][0] = items[second][0] + (-delta)
     items = [tuple(it) for it in items]
     singles = [verify_single(*it, suite) for it in items]
     assert [i for i, ok in enumerate(singles) if not ok] == list(pair)
@@ -160,10 +157,10 @@ def test_batch_byte_mutations_flip_acceptance(suite):
         mutated = [list(it) for it in items]
         sig, pub, payload = mutated[idx]
         if field == 0:
-            raw = bytearray(suite.g1_serialize(sig.sigma))
+            raw = bytearray(suite.g1_serialize(sig))
             raw[mut_rng.randrange(len(raw))] ^= 1 << mut_rng.randrange(8)
             try:
-                mutated[idx][0] = Signature(sigma=suite.g1_deserialize(bytes(raw)))
+                mutated[idx][0] = suite.g1_deserialize(bytes(raw))
             except CryptoError:
                 continue  # mutation produced an invalid encoding: rejected earlier
         elif field == 1:
@@ -203,24 +200,29 @@ def test_batch_on_curve_backend(bn_suite):
         items.append((sign(kp.x, payload, bn_suite), kp.public, payload))
     assert batch_verify(items, bn_suite)
     forged = list(items)
-    forged[1] = (
-        Signature(sigma=items[1][0].sigma + bn_suite.g1_generator()),
-        items[1][1],
-        items[1][2],
-    )
+    forged[1] = (items[1][0] + bn_suite.g1_generator(), items[1][1], items[1][2])
     assert not batch_verify(forged, bn_suite)
 
 
 def test_batch_on_curve_backend_prepares_each_g2_point_once(bn_suite, monkeypatch):
-    """Each key's Miller-loop lines, and the generator's, are prepared on
-    first use and then read from the point in every later check."""
+    """Each key's Miller-loop lines and subgroup check, and the generator's,
+    are made on first use and then read from the point in every later check."""
     from amisim.crypto import bn254
 
     generator = bn_suite.g2_generator()
     monkeypatch.delitem(vars(generator), "lines", raising=False)
-    prepared = []
+    monkeypatch.delitem(vars(generator), "_in_g2", raising=False)
+    prepared, checked = [], []
     real = bn254._prepare_lines
     monkeypatch.setattr(bn254, "_prepare_lines", lambda q: prepared.append(q) or real(q))
+    real_mul = bn254._pt_mul
+
+    def pt_mul(pt, k, ops):  # r Q is the subgroup check; no other product has k = r
+        if k == bn254.CURVE_ORDER:
+            checked.append(pt)
+        return real_mul(pt, k, ops)
+
+    monkeypatch.setattr(bn254, "_pt_mul", pt_mul)
     rng = random.Random(13)
     keys = [sig_keygen(bn_suite, rng) for _ in range(3)]
     for ts in (1_000, 2_000):
@@ -229,3 +231,4 @@ def test_batch_on_curve_backend_prepares_each_g2_point_once(bn_suite, monkeypatc
         assert batch_verify(items, bn_suite)
     assert verify_single(*items[0], bn_suite)
     assert sorted(prepared) == sorted([generator.point] + [kp.public.point for kp in keys])
+    assert sorted(checked) == sorted(prepared)
