@@ -1,4 +1,4 @@
-"""Change-and-transmit reporting: decision rule, pattern/EU-view derivation,
+"""Change-and-transmit reporting: decision rule, patterns and held readings,
 efficiency, and aggregated-error statistics.
 
 A meter under CAT sends a reading only when it moved by more than a
@@ -63,18 +63,6 @@ class TransmissionPattern:
         return int(self.bits.sum())
 
 
-@dataclass(frozen=True)
-class EuView:
-    """Per-slot reading the utility effectively holds after suppression."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 def cat_decide(current: float, last_reported: float, threshold_percent: float) -> bool:
     """True when the reading changed enough (strictly) to be worth sending.
 
@@ -87,7 +75,8 @@ def cat_decide(current: float, last_reported: float, threshold_percent: float) -
 
 
 def apply_cat(day: DayRecord, config: CatConfig, initial_last: float | None = None):
-    """Run CAT over one day; returns (pattern, eu_view, final_last).
+    """Run CAT over one day; returns (pattern, held, final_last), where held
+    is the read-only per-slot reading the utility holds.
 
     initial_last is the last reported reading carried in from the previous
     day; None means this is the first-ever slot, which always transmits.
@@ -95,23 +84,27 @@ def apply_cat(day: DayRecord, config: CatConfig, initial_last: float | None = No
     """
     readings = day.readings
     bits = np.zeros(len(readings), dtype=np.uint8)
-    values = np.empty(len(readings), dtype=np.float64)
+    held = np.empty(len(readings), dtype=np.float64)
     last = initial_last
     for t, current in enumerate(readings):
         current = float(current)
         if last is None or cat_decide(current, last, config.threshold_percent):
             bits[t] = 1
             last = current
-        values[t] = last
-    return TransmissionPattern(bits=bits), EuView(values=values), last
+        held[t] = last
+    held.setflags(write=False)
+    return TransmissionPattern(bits=bits), held, last
 
 
 def schedule(traces: list[ConsumptionTrace], threshold_percent: float,
              presence: dict | None = None, policy=None):
-    """The CAT schedule of every consumer-day: (patterns, eu_views) keyed by
-    DayRecord.key, equal to apply_cat chained day by day. Each slot of a
-    consumers x slots array (short traces padded with NaN, which never sends)
-    applies cat_decide to every consumer; with a policy, the slot's silent
+    """The CAT schedule of every consumer-day, equal to apply_cat chained day
+    by day: (patterns, held), patterns keyed by DayRecord.key and held the
+    read-only consumers x slots array of the reading the utility holds, row i
+    for traces[i] from its first slot. Each slot of a consumers x slots array
+    (short traces padded with NaN, which never sends) applies cat_decide to
+    every consumer, so held repeats a shorter trace's last sent reading past
+    its end (NaN for a trace of no days). With a policy, the slot's silent
     rows on days presence labels absent then go to policy(s, rows, bits,
     absent), where bits is the schedule so far (columns before s are final),
     absent is the consumers x slots mask of days labelled absent, and a true
@@ -145,14 +138,13 @@ def schedule(traces: list[ConsumptionTrace], threshold_percent: float,
     # The utility holds each consumer's reading from its latest sending slot.
     sent_at = np.maximum.accumulate(np.where(bits, np.arange(width), 0), axis=1)
     held = np.take_along_axis(readings, sent_at, axis=1)
-    patterns = {day.key: TransmissionPattern(bits=bits[i, cols]) for i, cols, day in days}
-    eu_views = {day.key: EuView(values=held[i, cols]) for i, cols, day in days}
-    return patterns, eu_views
+    held.setflags(write=False)
+    return {day.key: TransmissionPattern(bits=bits[i, cols]) for i, cols, day in days}, held
 
 
 def patterns_for_traces(traces: list[ConsumptionTrace], config: CatConfig):
     """The undefended schedule of traces resampled to the config granularity;
-    returns (patterns, eu_views) keyed by (consumer_id, ISO date)."""
+    returns schedule's (patterns, held)."""
     working = [resample(t, config.granularity_minutes) for t in traces]
     return schedule(working, config.threshold_percent)
 
@@ -188,27 +180,18 @@ def efficiency_table(
     return table
 
 
-def aggregate_error_cdf(day_records, eu_views):
+def aggregate_error_cdf(readings, held):
     """Empirical CDF of the per-slot aggregated reading error, in percent.
 
-    day_records and eu_views are parallel dicts keyed by (consumer, date);
-    slots are aligned by date across consumers. Error at a slot is
-    (sum of true readings - sum of EU-view readings) / sum of true x 100.
-    Slots whose true aggregate is zero are skipped and counted.
+    readings and held are meters x slots arrays of the true readings and of
+    the readings the utility holds, each column one slot of every meter.
+    Error at a slot is (sum of true readings - sum of held readings) / sum
+    of true x 100. Slots whose true aggregate is zero are skipped and counted.
 
     Returns (cdf_points, skipped) where cdf_points is a list of
     (error_percent, cumulative_probability) sorted by error.
     """
-    by_date: dict[str, list] = {}
-    for key, day in day_records.items():
-        by_date.setdefault(key[1], []).append((day, eu_views[key]))
-
-    truth, held = [np.zeros(0)], [np.zeros(0)]  # concatenate needs one array
-    for date_iso in sorted(by_date):
-        pairs = by_date[date_iso]
-        truth.append(np.sum([d.readings for d, _ in pairs], axis=0))
-        held.append(np.sum([v.values for _, v in pairs], axis=0))
-    truth, held = np.concatenate(truth), np.concatenate(held)
+    truth, held = np.sum(readings, axis=0), np.sum(held, axis=0)
     counted = truth != 0.0
     errors = np.sort((truth - held)[counted] / truth[counted] * 100.0)
     n = errors.size

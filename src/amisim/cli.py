@@ -339,8 +339,9 @@ def cmd_simulate(args) -> int:
     truth = _load_truth(args.truth)
     cat = _cat(args)
     bundle = _bundle_from(args) if args.defense_params else None
+    working = [resample(t, cat.granularity_minutes) for t in traces]
     scenario = SimScenario(
-        traces=traces,
+        traces=working,
         presence=truth,
         cat=cat,
         defense=bundle,
@@ -351,12 +352,7 @@ def cmd_simulate(args) -> int:
     report = run_simulation(scenario)
     _write_json(args.out, report.as_dict())
     if args.error_cdf:
-        working = [resample(t, cat.granularity_minutes) for t in traces]
-        days = {}
-        for trace in working:
-            for day in trace.days():
-                days[day.key] = day
-        cdf, _ = aggregate_error_cdf(days, report.eu_views)
+        cdf, _ = aggregate_error_cdf(np.array([t.readings for t in working]), report.held)
         write_cdf_csv(args.error_cdf, cdf)
     print(
         f"simulated {report.slots} slots: exact={report.all_exact} "

@@ -88,10 +88,12 @@ def _batch_exponents(items, suite) -> list[int]:
     """1 for the first item, then one exponent in [1, 2^64] per further item.
 
     The exponents come from a hash of every signature, public key and
-    payload in the batch. Fixing the first at 1 keeps the 2^-64 bound (an
-    error in that item alone is never cancelled) and saves two scalar
-    multiplications per batch.
+    payload in the batch; a batch of one (verify_single) hashes nothing.
+    Fixing the first at 1 keeps the 2^-64 bound (an error in that item
+    alone is never cancelled) and saves two scalar multiplications per batch.
     """
+    if len(items) == 1:
+        return [1]
     digest = hashlib.sha256(b"batch|")
     for sigma, public, payload in items:
         digest.update(

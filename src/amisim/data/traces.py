@@ -289,9 +289,11 @@ class SyntheticConfig:
         for name in ("event_duration_minutes", "event_duration_jitter", "event_gap_jitter"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        # A spread above 1 can make a household's mean event duration negative.
-        if not 0.0 <= self.consumer_duration_spread <= 1.0:
-            raise ConfigError("consumer_duration_spread must be in [0, 1]")
+        # A spread above 1 can make a household's event rate or mean event
+        # duration negative.
+        for name in ("consumer_rate_spread", "consumer_duration_spread"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1]")
 
 
 def synthesize(config: SyntheticConfig):

@@ -228,7 +228,7 @@ def simulate_corpus(
     bundle: DefenseBundle,
 ):
     """The defended transmission schedule of every consumer-day; returns
-    (patterns, eu_views) keyed by (consumer_id, ISO date).
+    schedule's (patterns, held).
 
     cat.schedule with the defense as its policy, and every memory starts
     from _bootstrap_bits (the first present day's change-only pattern). The

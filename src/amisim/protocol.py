@@ -297,7 +297,7 @@ class SimulationReport:
     dropped_stale: int
     dropped_bad_sig: int
     attacker_view: dict  # (sm_id, date) -> bits (presence of transmissions only)
-    eu_views: dict  # (sm_id, date) -> EuView, the per-slot kWh the utility holds
+    held: np.ndarray  # meters x slots: the latest kWh each meter sent, as the utility holds it
 
     @property
     def all_exact(self) -> bool:
@@ -402,7 +402,7 @@ def run_simulation(scenario: SimScenario) -> SimulationReport:
     meter's last transmitted (encoded) reading runs alongside the ciphertext
     path; the report counts the slots where the decrypted aggregate equals
     the shadow sum exactly. The attacker view (message-presence bits only,
-    change- and defense-triggered sends alike) and the utility views come
+    change- and defense-triggered sends alike) and the held readings come
     straight from the schedule. Encryption is split: each sending meter's
     r values are drawn from its rng in sending order, and their r^n mod n^2
     are computed ahead of their slots (see _offline_randomizers) and handed
@@ -417,17 +417,15 @@ def run_simulation(scenario: SimScenario) -> SimulationReport:
     if len(covers) > 1:
         raise ConfigError("all traces must cover the same dates, but " + " and ".join(
             f"{c} covers {days} day(s) from {start}" for (start, days), c in covers.items()))
-    plain_patterns, plain_views = patterns_for_traces(working, cat)
+    plain_patterns, held = patterns_for_traces(working, cat)
     if scenario.defense is None:
-        patterns, views = plain_patterns, plain_views
+        patterns = plain_patterns
     else:
-        patterns, views = simulate_corpus(working, scenario.presence, cat, scenario.defense)
+        patterns, held = simulate_corpus(working, scenario.presence, cat, scenario.defense)
 
-    # meters x slots over the whole run: the scheduled bits, and the reading
-    # the utility holds, which in a sending slot is the reading sent.
+    # The scheduled bits, meters x slots over the whole run.
     keys = [[day.key for day in t.days()] for t in working]
     bits = np.array([np.concatenate([patterns[k].bits for k in row]) for row in keys])
-    held = np.array([np.concatenate([views[k].values for k in row]) for row in keys])
     slot_ms = cat.granularity_minutes * 60_000
     freshness_ms = FRESHNESS_SLOTS * slot_ms
 
@@ -490,5 +488,5 @@ def run_simulation(scenario: SimScenario) -> SimulationReport:
         dropped_stale=agg.dropped_stale,
         dropped_bad_sig=agg.dropped_bad_sig,
         attacker_view={key: p.bits for key, p in patterns.items()},
-        eu_views=views,
+        held=held,
     )

@@ -27,7 +27,7 @@ from amisim.attacker import (
     threeclass_sets,
     train_threeclass,
 )
-from amisim.cat import CatConfig, EuView, TransmissionPattern, cat_decide
+from amisim.cat import CatConfig, TransmissionPattern, cat_decide
 from amisim.crypto.bn254 import (
     _FQ2_OPS,
     ATE_LOOP_COUNT,
@@ -91,11 +91,12 @@ def simulate_day(
     Per slot: a change-triggered transmission always goes out; otherwise,
     on an absent day with a defense attached, the predictor may fire a
     redundant transmission of the current actual reading. Every decision
-    is pushed into the memory. Returns (pattern, eu_view, last_reported).
+    is pushed into the memory. Returns (pattern, held, last_reported), held
+    the read-only per-slot reading the utility holds.
     """
     readings = day.readings
     bits = np.zeros(len(readings), dtype=np.uint8)
-    values = np.empty(len(readings), dtype=np.float64)
+    held = np.empty(len(readings), dtype=np.float64)
     last = last_reported
     use_defense = (
         bundle is not None and state is not None and presence is PresenceLabel.ABSENT
@@ -108,10 +109,11 @@ def simulate_day(
         if transmit:
             bits[t] = 1
             last = current
-        values[t] = last
+        held[t] = last
         if state is not None:
             state.push(int(bits[t]))
-    return TransmissionPattern(bits=bits), EuView(values=values), last
+    held.setflags(write=False)
+    return TransmissionPattern(bits=bits), held, last
 
 
 def known_defense_attack(

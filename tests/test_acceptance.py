@@ -315,12 +315,12 @@ def test_criterion_4_cat_bound(corpus114):
     for trace in working:
         last = None
         for day in trace.days():
-            pattern, view, last = apply_cat(day, cat, last)
+            pattern, held, last = apply_cat(day, cat, last)
             suppressed = pattern.bits == 0
-            positive = view.values > 0
+            positive = held > 0
             mask = suppressed & positive
-            err = np.abs(day.readings[mask] - view.values[mask])
-            if np.any(err > 0.10 * view.values[mask] + 1e-12):
+            err = np.abs(day.readings[mask] - held[mask])
+            if np.any(err > 0.10 * held[mask] + 1e-12):
                 violations += 1
 
     non_monotone = 0
@@ -358,12 +358,9 @@ def test_criterion_5_aggregate_error(corpus114):
     start = time.time()
     traces, _ = corpus114
     cat = CatConfig(threshold_percent=10.0, granularity_minutes=5)
-    patterns, views = patterns_for_traces(traces, cat)
-    days = {}
-    for trace in traces:
-        for day in resample(trace, 5).days():
-            days[(day.consumer_id, day.date.isoformat())] = day
-    cdf, skipped = aggregate_error_cdf(days, views)
+    patterns, held = patterns_for_traces(traces, cat)
+    readings = np.array([resample(trace, 5).readings for trace in traces])
+    cdf, skipped = aggregate_error_cdf(readings, held)
     abs_errors = np.abs([e for e, _ in cdf])
     p95 = float(np.percentile(abs_errors, 95))
     elapsed = time.time() - start

@@ -40,27 +40,28 @@ def test_cat_decide_zero_baseline():
 
 def test_apply_cat_no_change():
     values = [100.0] * 48
-    pattern, view, last = apply_cat(_day(values), CFG10, initial_last=None)
+    pattern, held, last = apply_cat(_day(values), CFG10, initial_last=None)
     assert pattern.bits[0] == 1
     assert pattern.bits[1:].sum() == 0
-    assert np.allclose(view.values, 100.0)
+    assert np.allclose(held, 100.0)
+    assert not held.flags.writeable
     assert last == 100.0
 
 
 def test_apply_cat_change_sequence():
     values = [100.0, 120.0, 121.0] + [121.0] * 45
-    pattern, view, last = apply_cat(_day(values), CFG10)
+    pattern, held, last = apply_cat(_day(values), CFG10)
     assert list(pattern.bits[:3]) == [1, 1, 0]
-    assert list(view.values[:3]) == [100.0, 120.0, 120.0]
+    assert list(held[:3]) == [100.0, 120.0, 120.0]
     assert last == 120.0
 
 
 def test_apply_cat_chains_initial_last():
     values = [100.0] * 48
-    pattern, view, _ = apply_cat(_day(values), CFG10, initial_last=98.0)
+    pattern, held, _ = apply_cat(_day(values), CFG10, initial_last=98.0)
     # 2/98 = 2.04% change: below threshold, so the day is silent.
     assert pattern.bits.sum() == 0
-    assert np.allclose(view.values, 98.0)
+    assert np.allclose(held, 98.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -69,10 +70,10 @@ def test_apply_cat_chains_initial_last():
 def test_apply_cat_suppression_bound(values, threshold):
     config = CatConfig(threshold_percent=threshold, granularity_minutes=30)
     day = _day(values)
-    pattern, view, _ = apply_cat(day, config)
+    pattern, held, _ = apply_cat(day, config)
     for t in range(len(values)):
-        if pattern.bits[t] == 0 and view.values[t] > 0:
-            err = abs(day.readings[t] - view.values[t]) / view.values[t]
+        if pattern.bits[t] == 0 and held[t] > 0:
+            err = abs(day.readings[t] - held[t]) / held[t]
             assert err <= threshold / 100.0 + 1e-12
 
 
@@ -100,25 +101,29 @@ def _uneven_traces(draw):
 @given(_uneven_traces(), st.sampled_from([1.0, 10.0]))
 def test_patterns_for_traces_equals_apply_cat_chain(traces, threshold):
     config = CatConfig(threshold_percent=threshold, granularity_minutes=30)
-    patterns, views = patterns_for_traces(traces, config)
+    patterns, held = patterns_for_traces(traces, config)
     assert len(patterns) == sum(t.day_count for t in traces)
-    for trace in traces:
+    assert held.shape == (len(traces), max(len(t.readings) for t in traces))
+    assert not held.flags.writeable
+    for row, trace in zip(held, traces):
         last = None
-        for day in trace.days():
-            pattern, view, last = apply_cat(day, config, last)
+        for d, day in enumerate(trace.days()):
+            pattern, day_held, last = apply_cat(day, config, last)
             assert np.array_equal(patterns[day.key].bits, pattern.bits)
-            assert np.array_equal(views[day.key].values, view.values)
+            assert np.array_equal(row[d * 48 : (d + 1) * 48], day_held)
+        # Past a shorter trace's end the utility still holds its last sent reading.
+        assert np.all(row[len(trace.readings) :] == last)
 
 
 def test_pattern_euview_consistency():
     rng = np.random.default_rng(1)
     day = _day(np.abs(rng.normal(1.0, 0.5, size=48)))
-    pattern, view, _ = apply_cat(day, CFG10)
+    pattern, held, _ = apply_cat(day, CFG10)
     for t in range(48):
         if pattern.bits[t]:
-            assert view.values[t] == day.readings[t]
+            assert held[t] == day.readings[t]
         elif t > 0:
-            assert view.values[t] == view.values[t - 1]
+            assert held[t] == held[t - 1]
 
 
 def test_efficiency_formula():
@@ -173,16 +178,14 @@ def test_efficiency_regression_pin():
 
 
 def test_aggregate_error_cdf_all_transmit():
-    days = {}
-    views = {}
+    readings, held = [], []
     for c in range(3):
         day = _day(np.linspace(1, 5, 48), consumer=f"c{c}")
         config = CatConfig(threshold_percent=1.0, granularity_minutes=30)
-        pattern, view, _ = apply_cat(day, config)
-        key = (day.consumer_id, day.date.isoformat())
-        days[key] = day
-        views[key] = view
-    cdf, skipped = aggregate_error_cdf(days, views)
+        pattern, day_held, _ = apply_cat(day, config)
+        readings.append(day.readings)
+        held.append(day_held)
+    cdf, skipped = aggregate_error_cdf(np.array(readings), np.array(held))
     assert skipped == 0
     errors = [abs(e) for e, _ in cdf]
     # With a 1% threshold nearly every slot fires; errors are within 1%.
@@ -193,12 +196,8 @@ def test_aggregate_error_single_meter_bound():
     traces, _ = _corpus(seed=9, consumers=1, days=2)
     working = [resample(t, 5) for t in traces]
     config = CatConfig(threshold_percent=10.0, granularity_minutes=5)
-    patterns, views = patterns_for_traces(traces, config)
-    days = {}
-    for trace in working:
-        for day in trace.days():
-            days[(day.consumer_id, day.date.isoformat())] = day
-    cdf, _ = aggregate_error_cdf(days, views)
+    patterns, held = patterns_for_traces(traces, config)
+    cdf, _ = aggregate_error_cdf(np.array([t.readings for t in working]), held)
     # Suppression bounds |truth - held| by thr% of the HELD value; renormalizing
     # by the true reading loosens the bound to thr/(1 - thr/100).
     bound = 10.0 / (1.0 - 0.10)
@@ -209,12 +208,8 @@ def test_cdf_is_monotone():
     traces, _ = _corpus(seed=13, consumers=5, days=3)
     working = [resample(t, 30) for t in traces]
     config = CatConfig(threshold_percent=10.0, granularity_minutes=30)
-    patterns, views = patterns_for_traces(traces, config)
-    days = {}
-    for trace in working:
-        for day in trace.days():
-            days[(day.consumer_id, day.date.isoformat())] = day
-    cdf, _ = aggregate_error_cdf(days, views)
+    patterns, held = patterns_for_traces(traces, config)
+    cdf, _ = aggregate_error_cdf(np.array([t.readings for t in working]), held)
     probs = [p for _, p in cdf]
     errs = [e for e, _ in cdf]
     assert probs == sorted(probs)

@@ -157,9 +157,13 @@ def test_bad_config_exits_2(corpus_files, tmp_path):
     (2, "--gap-jitter", "-0.5", "event_gap_jitter"),
     (12, "--duration-spread", "3", "consumer_duration_spread"),
     (12, "--duration-spread", "-0.5", "consumer_duration_spread"),
+    (12, "--rate-spread", "3", "consumer_rate_spread"),
+    (12, "--rate-spread", "-0.5", "consumer_rate_spread"),
 ])
 def test_synth_out_of_range_exits_2(tmp_path, capsys, consumers, flag, value, field):
-    # Each of these once reached numpy's normal() with a negative scale.
+    # Each of these once reached numpy's normal() with a negative scale, or,
+    # for --rate-spread, gave households a negative event rate and so no
+    # appliance events at all.
     argv = ["synth", "--consumers", str(consumers), "--days", "1", "--seed", "1",
             "--out", str(tmp_path / "t.csv"), "--truth", str(tmp_path / "t.json"), flag, value]
     assert main(argv) == 2

@@ -175,12 +175,12 @@ def test_simulate_day_present_equals_pure_cat():
     bundle = _tiny_bundle()
     state = DefenseState(bundle.n)
     state.seed(np.ones(bundle.n))
-    pattern, view, last = simulate_day(
+    pattern, held, last = simulate_day(
         day, PresenceLabel.PRESENT, CAT5, bundle, state, last_reported=None
     )
-    ref_pattern, ref_view, ref_last = apply_cat(day, CAT5, None)
+    ref_pattern, ref_held, ref_last = apply_cat(day, CAT5, None)
     assert np.array_equal(pattern.bits, ref_pattern.bits)
-    assert np.allclose(view.values, ref_view.values)
+    assert np.allclose(held, ref_held)
     assert last == ref_last
 
 
@@ -192,7 +192,7 @@ def test_simulate_day_absent_without_defense_is_pure_cat():
 
 def test_simulate_day_defense_transmits_real_reading():
     # A bundle whose decision is constant 1 (trained on ones) must produce
-    # bits of all ones and an EU view equal to the actual readings.
+    # bits of all ones and held readings equal to the actual readings.
     ds = build_window_dataset([np.ones(60)], n=6)
     from amisim.nn import Activation, Dense, Flatten, ModelSpec
 
@@ -215,9 +215,9 @@ def test_simulate_day_defense_transmits_real_reading():
         date=date(2016, 1, 1),
         readings=np.abs(rng.normal(1.0, 0.02, size=288)),
     )
-    pattern, view, _ = simulate_day(day, PresenceLabel.ABSENT, CAT5, bundle, state, 1.0)
+    pattern, held, _ = simulate_day(day, PresenceLabel.ABSENT, CAT5, bundle, state, 1.0)
     assert pattern.bits.all()
-    assert np.allclose(view.values, day.readings)
+    assert np.allclose(held, day.readings)
 
 
 def test_simulate_day_memory_stays_full():
@@ -262,21 +262,21 @@ def test_simulate_corpus_matches_simulate_day_chain(monkeypatch):
     monkeypatch.setattr(reference, "defense_decide", recording_decide)
     for bundle in bundles:
         for corpus in (traces, uneven):
-            patterns, views = simulate_corpus(corpus, truth, CAT5, bundle=bundle)
+            patterns, held = simulate_corpus(corpus, truth, CAT5, bundle=bundle)
             assert len(patterns) == sum(t.day_count for t in corpus)
             decisions.clear()
-            for trace in corpus:
+            for row, trace in zip(held, corpus):
                 working = resample(trace, 5)
                 days = working.days()
                 state = DefenseState(bundle.n)
                 state.seed(_bootstrap_bits(days, truth, CAT5, bundle.n))
                 last = None
-                for day in days:
-                    pattern, view, last = simulate_day(
+                for d, day in enumerate(days):
+                    pattern, day_held, last = simulate_day(
                         day, truth[day.key], CAT5, bundle, state, last
                     )
                     assert np.array_equal(pattern.bits, patterns[day.key].bits), day.key
-                    assert np.allclose(view.values, views[day.key].values)
+                    assert np.allclose(day_held, row[d * 288 : (d + 1) * 288])
             assert 0 < sum(decisions) < len(decisions)
 
 
@@ -285,14 +285,14 @@ def test_suppression_bound_holds_with_defense_active():
                              absence_probability=0.6)
     traces, truth = synthesize(config)
     bundle = _tiny_bundle(seed=1)
-    patterns, views = simulate_corpus(traces, truth, CAT5, bundle=bundle)
+    patterns, held = simulate_corpus(traces, truth, CAT5, bundle=bundle)
     from amisim.data import resample
 
-    for trace in traces:
-        for day in resample(trace, 5).days():
+    for row, trace in zip(held, traces):
+        for d, day in enumerate(resample(trace, 5).days()):
             key = (day.consumer_id, day.date.isoformat())
             bits = patterns[key].bits
-            values = views[key].values
+            values = row[d * 288 : (d + 1) * 288]
             for t in range(len(bits)):
                 if bits[t] == 0 and values[t] > 0:
                     err = abs(day.readings[t] - values[t]) / values[t]

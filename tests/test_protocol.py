@@ -340,7 +340,7 @@ def _random_init_defense():
 def test_run_simulation_replays_defended_schedule():
     # A random-init defense fires on some, not all, of the absent slots the
     # change rule leaves silent; the protocol sends exactly the
-    # simulate_corpus schedule and the utility holds its views.
+    # simulate_corpus schedule and the utility holds its readings.
     from amisim.cat import cat_decide
     from amisim.data import resample
     from amisim.defense import simulate_corpus
@@ -350,14 +350,14 @@ def test_run_simulation_replays_defended_schedule():
         traces=traces, presence=truth, cat=CAT30, defense=bundle, seed=5, paillier_bits=256
     )
     report = run_simulation(scenario)
-    patterns, views = simulate_corpus(traces, truth, CAT30, bundle)
+    patterns, held = simulate_corpus(traces, truth, CAT30, bundle)
 
     assert report.all_exact
     assert report.attacker_view.keys() == patterns.keys()
-    assert report.eu_views.keys() == views.keys()
+    assert report.held.shape == held.shape
+    assert np.array_equal(report.held, held)
     for key, pattern in patterns.items():
         assert np.array_equal(report.attacker_view[key], pattern.bits), key
-        assert np.array_equal(report.eu_views[key].values, views[key].values), key
     assert report.transmissions == sum(p.count() for p in patterns.values())
 
     silent = fired = 0
@@ -376,6 +376,49 @@ def test_run_simulation_replays_defended_schedule():
                 if bits[t]:
                     last = float(reading)
     assert 0 < fired < silent
+
+
+@pytest.mark.parametrize("minutes", [5, 30])
+def test_schedules_scale_held_readings_by_powers_of_two(minutes):
+    # Metamorphic: readings x 2^k move no reading across a threshold, since
+    # every difference and ratio scales exactly, so every day's bits stay and
+    # the held readings scale by exactly 2^k, with and without the defense.
+    from amisim.defense import simulate_corpus
+
+    bundle, traces, truth = _random_init_defense()
+    cat = CatConfig(threshold_percent=10.0, granularity_minutes=minutes)
+    for run in (lambda corpus: patterns_for_traces(corpus, cat),
+                lambda corpus: simulate_corpus(corpus, truth, cat, bundle)):
+        patterns, held = run(traces)
+        for k in (-3, 1, 5):
+            patterns_k, held_k = run([
+                ConsumptionTrace(t.consumer_id, t.start_date, t.granularity_minutes,
+                                 t.readings * 2.0**k)
+                for t in traces
+            ])
+            assert patterns_k.keys() == patterns.keys()
+            for key, pattern in patterns.items():
+                assert np.array_equal(patterns_k[key].bits, pattern.bits), (k, key)
+            assert np.array_equal(held_k, held * 2.0**k), k
+
+
+@pytest.mark.parametrize("minutes", [5, 30])
+def test_all_days_present_gives_the_undefended_schedule(minutes):
+    # Metamorphic: the defense acts only on days labelled absent.
+    from amisim.defense import simulate_corpus
+
+    bundle, traces, truth = _random_init_defense()
+    cat = CatConfig(threshold_percent=10.0, granularity_minutes=minutes)
+    plain_patterns, plain_held = patterns_for_traces(traces, cat)
+    present = dict.fromkeys(truth, PresenceLabel.PRESENT)
+    patterns, held = simulate_corpus(traces, present, cat, bundle)
+    assert patterns.keys() == plain_patterns.keys()
+    for key, pattern in plain_patterns.items():
+        assert np.array_equal(patterns[key].bits, pattern.bits), key
+    assert np.array_equal(held, plain_held)
+    # With the true labels the same defense fires, so the relation is not vacuous.
+    fired, _ = simulate_corpus(traces, truth, cat, bundle)
+    assert sum(p.count() for p in fired.values()) > sum(p.count() for p in patterns.values())
 
 
 def test_run_simulation_deterministic():
@@ -414,6 +457,7 @@ def test_run_simulation_reversed_meters_keep_totals_and_views(defended, seed):
     assert forward.attacker_view.keys() == backward.attacker_view.keys()
     for key, bits in forward.attacker_view.items():
         assert np.array_equal(bits, backward.attacker_view[key]), key
+    assert np.array_equal(forward.held, backward.held[::-1])
 
 
 def _small_scenario(seed, bits):

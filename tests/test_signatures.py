@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -91,6 +92,36 @@ def test_batch_of_one_equals_single(suite):
     assert batch_verify([(sig, kp.public, payload)], suite) == verify_single(
         sig, kp.public, payload, suite
     )
+
+
+@pytest.mark.parametrize("backend", ["exp", "bn254"])
+def test_batch_of_one_serializes_and_hashes_nothing(backend, monkeypatch):
+    # A one-item batch's exponent list is always [1]; the verdicts stay.
+    from amisim.crypto import signatures
+
+    suite = make_suite(backend, seed=99) if backend == "exp" else make_suite(backend)
+    rng = random.Random(14)
+    kp = sig_keygen(suite, rng)
+    payload = canonical_payload(4242, 9_000)
+    sig = sign(kp.x, payload, suite)
+    serialized = []
+    for name in ("g1_serialize", "g2_serialize"):
+        real = getattr(suite, name)
+        monkeypatch.setattr(suite, name, lambda pt, real=real: serialized.append(pt) or real(pt))
+    assert signatures._batch_exponents([(sig, kp.public, payload)], suite) == [1]
+    assert verify_single(sig, kp.public, payload, suite)
+    assert not verify_single(sig + suite.g1_generator(), kp.public, payload, suite)
+    assert not batch_verify([(sig, kp.public, payload + b"x")], suite)
+    assert serialized == []
+    # Two items still hash every signature, key and payload, as before.
+    second = sig_keygen(suite, rng)
+    items = [(sig, kp.public, payload), (sign(second.x, payload, suite), second.public, payload)]
+    exponents = signatures._batch_exponents(items, suite)
+    assert len(serialized) == 4
+    digest = hashlib.sha256(b"batch|" + b"".join(
+        suite.g1_serialize(s) + suite.g2_serialize(y) + len(p).to_bytes(4, "big") + p
+        for s, y, p in items)).digest()
+    assert exponents == [1, int.from_bytes(hashlib.shake_256(digest).digest(16)[8:], "big") + 1]
 
 
 def test_batch_114_valid(suite):
