@@ -11,7 +11,7 @@ from amisim.crypto.paillier import (
     paillier_keygen,
     randomizers,
 )
-from amisim.crypto.pairing import ExponentSuite, make_suite
+from amisim.crypto.pairing import make_suite
 from amisim.crypto.signatures import (
     SigKeypair,
     batch_verify,
@@ -22,7 +22,6 @@ from amisim.crypto.signatures import (
 )
 
 __all__ = [
-    "ExponentSuite",
     "PaillierPrivateKey",
     "PaillierPublicKey",
     "READING_SCALE",

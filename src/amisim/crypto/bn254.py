@@ -147,17 +147,6 @@ def fq12_square(x):
     return _fold(acc)
 
 
-def fq12_pow(x, exponent: int):
-    result = FQ12_ONE
-    base = x
-    while exponent:
-        if exponent & 1:
-            result = fq12_mul(result, base)
-        base = fq12_square(base)
-        exponent >>= 1
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Curve arithmetic, generic over the field via small op tables
 # ---------------------------------------------------------------------------
@@ -479,14 +468,6 @@ _G2_GEN = G2Point(G2_GENERATOR)  # one point, so its lines are prepared once per
 class GtElement:
     value: tuple
 
-    def __mul__(self, other: "GtElement") -> "GtElement":
-        return GtElement(fq12_mul(self.value, other.value))
-
-    def __pow__(self, exponent: int) -> "GtElement":
-        # A final-exponentiation output lies in the order-r subgroup, so the
-        # exponent reduces mod r and a negative one needs no inverse.
-        return GtElement(fq12_pow(self.value, exponent % CURVE_ORDER))
-
     def is_one(self) -> bool:
         return self.value == FQ12_ONE
 
@@ -526,9 +507,6 @@ class Bn254Suite:
             counter += 1
 
     # -- pairing -------------------------------------------------------------
-    def pair(self, a: G1Point, b: G2Point) -> GtElement:
-        return self.pair_product([(a, b)])
-
     def pair_product(self, pairs) -> GtElement:
         pairs = list(pairs)
         for a, b in pairs:
@@ -573,6 +551,3 @@ class Bn254Suite:
         pt = G2Point(((vals[0], vals[1]), (vals[2], vals[3])))
         pt.check()
         return pt
-
-    def params_summary(self) -> dict:
-        return {"backend": self.name, "order": self.order, "p": P}

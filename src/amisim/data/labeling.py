@@ -170,7 +170,8 @@ def transmission_bits(value, slots: int):
 
 def load_labeled_jsonl(path):
     """Read a labeled dataset; returns (dataset, patterns). Every record must
-    carry its transmission bits, as prep writes them."""
+    carry its transmission bits, as prep writes them, and name a
+    (consumer, date) that no earlier record named."""
     records = []
     patterns: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -196,6 +197,9 @@ def load_labeled_jsonl(path):
             except (KeyError, TypeError, ValueError, OverflowError, DataFormatError) as exc:
                 # JSONDecodeError is a ValueError; KeyError names a missing key.
                 raise ParseError(f"malformed record: {exc!r}", line=lineno) from exc
+            if day.key in patterns:
+                raise ParseError(f"second record for {day.consumer_id!r} on {day.key[1]}",
+                                 line=lineno)
             records.append(record)
             patterns[day.key] = bits
     return LabeledDataset(records=tuple(records)), patterns

@@ -154,7 +154,7 @@ def ingest_csv(path) -> list[ConsumptionTrace]:
     """
     rows_by_consumer: dict[str, tuple[list[datetime], list[float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         header = next(reader, None)
         if header is None:
             return []
@@ -193,6 +193,15 @@ def ingest_csv(path) -> list[ConsumptionTrace]:
     return [trace for trace in traces if trace is not None]
 
 
+def _csv_rows(fh):
+    """csv.reader(fh)'s rows; its errors (an unclosed quote, say) are ParseErrors."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", reader.line_num) from exc
+
+
 def _rows_to_trace(consumer: str, times: list[datetime], kwhs: list[float]):
     """Two or more rows of one consumer as its whole days, or None if it has none."""
     gaps = np.array([b - a for a, b in zip(times, times[1:])], dtype="timedelta64[us]")
@@ -209,13 +218,13 @@ def _rows_to_trace(consumer: str, times: list[datetime], kwhs: list[float]):
     if np.any(steps % gran):
         raise DataFormatError(f"consumer {consumer}: inconsistent slot widths")
     # A slot with no row repeats the last reading. Days are cut at midnight on
-    # the first row's wall clock; with non-zero seconds no slot starts there.
+    # the first row's wall clock; off a whole minute no slot starts there.
     values = np.repeat(kwhs, np.append(steps // gran, 1))
     t0, spd = times[0], slots_per_day(gran)
     clock = t0.hour * 60 + t0.minute
     start = (-clock % MINUTES_PER_DAY) // gran
     full_days = (len(values) - start) // spd
-    if t0.second or clock % gran or full_days <= 0:
+    if t0.second or t0.microsecond or clock % gran or full_days <= 0:
         return None
     start_date = (t0 + timedelta(minutes=start * gran)).date()
     return ConsumptionTrace(consumer, start_date, gran, values[start : start + full_days * spd])

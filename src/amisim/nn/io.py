@@ -11,6 +11,7 @@ into the same spec round-trips bit-exactly.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 
 import numpy as np
@@ -41,11 +42,10 @@ def save_params(path, params: Params):
 
 
 def _read(fh, size: int, path) -> bytes:
-    """Exactly size bytes from fh; a short read means a truncated file."""
-    data = fh.read(size)
-    if len(data) != size:
+    """Exactly size bytes from fh, refused before reading if fewer are left."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise DataFormatError(f"{path}: truncated params file")
-    return data
+    return fh.read(size)
 
 
 def _unpack(fh, fmt: str, path):
@@ -53,6 +53,9 @@ def _unpack(fh, fmt: str, path):
 
 
 def load_params(path, spec: ModelSpec) -> Params:
+    """The weights in path, checked against spec's names and shapes as they are
+    read: an array's data is read only under a name and shape spec expects."""
+    expected = weight_shapes(spec)
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise DataFormatError(f"{path}: not a params file")
@@ -66,29 +69,26 @@ def load_params(path, spec: ModelSpec) -> Params:
                 f"{path}: params were trained for a different architecture"
             )
         (n_layers,) = _unpack(fh, "<I", path)
+        if n_layers != len(expected):
+            raise DataFormatError(f"{path}: layer count mismatch")
         weights = []
-        for _ in range(n_layers):
+        for layer_want in expected:
             (n_arrays,) = _unpack(fh, "<I", path)
+            if n_arrays != len(layer_want):
+                raise DataFormatError(f"{path}: parameter names mismatch")
             layer = {}
             for _ in range(n_arrays):
                 (name_len,) = _unpack(fh, "<I", path)
                 key = _read(fh, name_len, path).decode(errors="replace")  # then no key matches
+                if key not in layer_want or key in layer:
+                    raise DataFormatError(f"{path}: parameter names mismatch")
                 (ndim,) = _unpack(fh, "<I", path)
                 shape = _unpack(fh, f"<{ndim}Q", path)
-                count = int(np.prod(shape)) if ndim else 1
-                data = np.frombuffer(_read(fh, 8 * count, path), dtype="<f8")
+                if shape != layer_want[key]:
+                    raise DataFormatError(f"{path}: shape mismatch for {key}")
+                data = np.frombuffer(_read(fh, 8 * int(np.prod(shape)), path), dtype="<f8")
                 layer[key] = data.reshape(shape).copy()
             weights.append(layer)
-
-    expected = weight_shapes(spec)
-    if len(weights) != len(expected):
-        raise DataFormatError(f"{path}: layer count mismatch")
-    for layer_got, layer_want in zip(weights, expected):
-        if set(layer_got) != set(layer_want):
-            raise DataFormatError(f"{path}: parameter names mismatch")
-        for key, shape in layer_want.items():
-            if layer_got[key].shape != shape:
-                raise DataFormatError(f"{path}: shape mismatch for {key}")
     return Params(spec_hash=spec_hash, weights=weights)
 
 

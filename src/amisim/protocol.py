@@ -136,8 +136,7 @@ def kdc_setup(config: SetupConfig):
     """
     rng = random.Random(config.seed) if config.seed is not None else random.SystemRandom()
     pk, sk = paillier_keygen(bits=config.paillier_bits, rng=rng)
-    suite_seed = rng.randrange(2**63) if config.seed is not None else None
-    suite = make_suite(config.pairing_backend, seed=suite_seed)
+    suite = make_suite(config.pairing_backend)
     sm_keys = {f"sm{i:04d}": sig_keygen(suite, rng) for i in range(config.sm_count)}
     agg_key = sig_keygen(suite, rng)
     params = SystemParams(

@@ -6,13 +6,14 @@ threeclass_sets -> train_threeclass -> evaluate_threeclass sequence, a GRU
 layer as one folded scan over the whole batch, the prime test with a
 small-factor gcd before Miller-Rabin, bn254 point addition and scalar
 multiplication in Jacobian coordinates and a bn254 pairing product as one
-Miller loop over lines prepared once per G2 point. The definitions here
-are the plain forms: a ring-buffer memory and a slot-by-slot day loop that
-calls defense_decide, the attack as one function, the textbook GRU step,
-plain Miller-Rabin, the affine addition and doubling laws with
-double-and-add over them, and one Miller loop per pair, which computes
-each line and each step of R with its own inversion. pytest does not collect
-this module; tests import from it.
+Miller loop over lines prepared once per G2 point, then a final
+exponentiation split by the base-p digits of its exponent. The definitions
+here are the plain forms: a ring-buffer memory and a slot-by-slot day loop
+that calls defense_decide, the attack as one function, the textbook GRU
+step, plain Miller-Rabin, the affine addition and doubling laws with
+double-and-add over them, one Miller loop per pair, which computes each
+line and each step of R with its own inversion, and square-and-multiply in
+Fp12. pytest does not collect this module; tests import from it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from amisim.crypto.bn254 import (
     fq2_scalar,
     fq2_sub,
     fq12_mul,
+    fq12_square,
 )
 from amisim.crypto.paillier import _SMALL_PRIMES, MILLER_RABIN_ROUNDS
 from amisim.data.traces import DayRecord, PresenceLabel
@@ -178,6 +180,17 @@ def is_probable_prime(n: int, rng) -> bool:
         else:
             return False
     return True
+
+
+def fq12_pow(x, exponent: int):
+    """x^exponent in Fp12 by square-and-multiply."""
+    result = FQ12_ONE
+    while exponent:
+        if exponent & 1:
+            result = fq12_mul(result, x)
+        x = fq12_square(x)
+        exponent >>= 1
+    return result
 
 
 def pt_double(pt, ops):

@@ -198,7 +198,7 @@ def test_criterion_1_crypto_exactness():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_signature_equivalence():
-    suite = make_suite("exp", seed=SEED)
+    suite = make_suite("exp")
     rng = random.Random(SEED)
     signers = [sig_keygen(suite, rng) for _ in range(20)]
 

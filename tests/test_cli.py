@@ -390,6 +390,30 @@ def test_train_malformed_dataset_line_exits_3(corpus_files, tmp_path, capsys, da
     assert "line 2" in capsys.readouterr().err
 
 
+def test_train_refuses_a_second_record_for_a_day_exits_3(corpus_files, tmp_path, capsys):
+    """prep's first line appended again with its bits flipped would otherwise
+    overwrite that day's bits; the duplicate is refused at its line."""
+    traces, truth = corpus_files
+    labeled = tmp_path / "labeled.jsonl"
+    assert main([
+        "prep", "--traces", str(traces), "--rate", "per30min", "--seed", "7",
+        "--truth", str(truth), "--out", str(labeled),
+    ]) == 0
+    lines = labeled.read_text().splitlines()
+    row = json.loads(lines[0])
+    row["bits"] = [1 - b for b in row["bits"]]
+    labeled.write_text("\n".join([*lines, json.dumps(row)]) + "\n")
+    out = tmp_path / "att.bin"
+    code = main([
+        "train", "--dataset", str(labeled), "--target", "attacker",
+        "--rate", "per30min", "--seed", "7", "--epochs", "0", "--out", str(out),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"line {len(lines) + 1}" in err and "second record" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["prep", "simulate"])
 @pytest.mark.parametrize("damage", ["not-json", "no-labels", "unknown-label", "missing-day"])
 def test_malformed_truth_exits_3(corpus_files, tmp_path, capsys, command, damage):

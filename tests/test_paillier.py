@@ -8,7 +8,7 @@ import pytest
 
 import amisim
 import reference
-from amisim.crypto import pairing, paillier
+from amisim.crypto import paillier
 from amisim.crypto import (
     decode_reading,
     decrypt,
@@ -195,7 +195,6 @@ def test_reading_codec_headroom(keys):
 
 def _plain_prime_test(monkeypatch):
     monkeypatch.setattr(paillier, "_is_probable_prime", reference.is_probable_prime)
-    monkeypatch.setattr(pairing, "_is_probable_prime", reference.is_probable_prime)
 
 
 @pytest.mark.parametrize("bits, seeds", [(256, 200), (512, 60)])
@@ -204,12 +203,6 @@ def test_keygen_equals_plain_miller_rabin(monkeypatch, bits, seeds):
     _plain_prime_test(monkeypatch)
     plain = [paillier_keygen(bits, random.Random(s))[1] for s in range(seeds)]
     assert [(k.p, k.q) for k in keys] == [(k.p, k.q) for k in plain]
-
-
-def test_exponent_suite_equals_plain_miller_rabin(monkeypatch):
-    suites = [pairing.ExponentSuite.generate(s).params_summary() for s in range(4)]
-    _plain_prime_test(monkeypatch)
-    assert suites == [pairing.ExponentSuite.generate(s).params_summary() for s in range(4)]
 
 
 class _RecordingRng:

@@ -5,6 +5,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amisim.protocol as protocol
 from amisim.cat import CatConfig, patterns_for_traces
@@ -60,7 +62,8 @@ def test_kdc_setup_deterministic():
     a = kdc_setup(SetupConfig(sm_count=3, paillier_bits=256, seed=5))
     b = kdc_setup(SetupConfig(sm_count=3, paillier_bits=256, seed=5))
     assert a[0].paillier_pk.n == b[0].paillier_pk.n
-    assert a[0].suite.params_summary() == b[0].suite.params_summary()
+    assert a[0].suite.order == b[0].suite.order
+    assert a[0].sm_publics == b[0].sm_publics and a[0].agg_public == b[0].agg_public
     assert {k: v.x for k, v in a[2].items()} == {k: v.x for k, v in b[2].items()}
 
 
@@ -319,7 +322,7 @@ def test_run_simulation_with_defense_stays_exact():
             assert bits.sum() == len(bits)  # constant-fire defense fills the day
 
 
-def _random_init_defense():
+def _random_init_bundle():
     """A 6-slot defense that fires on some, not all, silent absent slots."""
     from amisim.defense import DefenseBundle
     from amisim.nn import Activation, Dense, Flatten, ModelSpec, init_params
@@ -330,11 +333,15 @@ def _random_init_defense():
         layers=(Flatten(), Dense(units=2), Activation("softmax")),
         output_classes=2,
     )
-    bundle = DefenseBundle(spec=spec, params=init_params(spec, seed=0), n=6)
+    return DefenseBundle(spec=spec, params=init_params(spec, seed=0), n=6)
+
+
+def _random_init_defense():
+    """_random_init_bundle and a 4-consumer, 2-day corpus with absent days."""
     traces, truth = synthesize(
         SyntheticConfig(consumer_count=4, day_count=2, rng_seed=2, absence_probability=0.5)
     )
-    return bundle, traces, truth
+    return _random_init_bundle(), traces, truth
 
 
 def test_run_simulation_replays_defended_schedule():
@@ -419,6 +426,89 @@ def test_all_days_present_gives_the_undefended_schedule(minutes):
     # With the true labels the same defense fires, so the relation is not vacuous.
     fired, _ = simulate_corpus(traces, truth, cat, bundle)
     assert sum(p.count() for p in fired.values()) > sum(p.count() for p in patterns.values())
+
+
+_SMALL_CORPUS = st.builds(
+    lambda seed, consumers, days, absence: synthesize(SyntheticConfig(
+        consumer_count=consumers, day_count=days, rng_seed=seed, absence_probability=absence)),
+    st.integers(0, 2**16), st.integers(2, 4), st.integers(2, 3), st.sampled_from([0.3, 0.5, 0.8]),
+)
+
+
+def _schedule_runner(minutes, defended):
+    """corpus, truth -> (patterns, held): the defended schedule of
+    _random_init_bundle or the undefended one, at the given rate."""
+    from amisim.defense import simulate_corpus
+
+    cat = CatConfig(threshold_percent=10.0, granularity_minutes=minutes)
+    if defended:
+        bundle = _random_init_bundle()
+        return lambda corpus, truth: simulate_corpus(corpus, truth, cat, bundle)
+    return lambda corpus, truth: patterns_for_traces(corpus, cat)
+
+
+def _assert_same_bits(patterns, expected):
+    assert patterns.keys() == expected.keys()
+    for key, pattern in expected.items():
+        assert np.array_equal(patterns[key].bits, pattern.bits), key
+
+
+@pytest.mark.parametrize("defended", [False, True])
+@pytest.mark.parametrize("minutes", [5, 30])
+@settings(max_examples=8, deadline=None)
+@given(corpus=_SMALL_CORPUS, data=st.data())
+def test_schedule_bits_do_not_depend_on_the_other_consumers(minutes, defended, corpus, data):
+    # Metamorphic: each consumer's schedule reads only its own readings and
+    # labels, so reversing the consumers or keeping a subset of them changes
+    # no consumer-day's bits, and each kept row of held stays as it was.
+    traces, truth = corpus
+    run = _schedule_runner(minutes, defended)
+    patterns, held = run(traces, truth)
+    kept = sorted(data.draw(st.sets(st.integers(0, len(traces) - 1), min_size=1)))
+    for rows in (list(range(len(traces)))[::-1], kept):
+        patterns_r, held_r = run([traces[i] for i in rows], truth)
+        _assert_same_bits(patterns_r, {k: v for k, v in patterns.items()
+                                       if k[0] in {traces[i].consumer_id for i in rows}})
+        assert np.array_equal(held_r, held[rows]), rows
+
+
+# simulate_corpus seeds each defense memory from the consumer's first present
+# day, also one after the absent days it spoofs, so cutting a last day that
+# is the first present one changes earlier defended days (CHANGES.md FOUND).
+_LOOK_AHEAD = pytest.mark.xfail(reason="the defense memory is seeded from a later day")
+
+
+@pytest.mark.parametrize("defended", [False, pytest.param(True, marks=_LOOK_AHEAD)])
+@pytest.mark.parametrize("minutes", [5, 30])
+@settings(max_examples=8, deadline=None)
+@given(corpus=_SMALL_CORPUS)
+def test_cutting_the_last_day_keeps_every_earlier_day(minutes, defended, corpus):
+    _assert_cut_keeps_earlier_days(minutes, defended, corpus)
+
+
+@pytest.mark.xfail(strict=True, reason="the defense memory is seeded from a later day")
+def test_cutting_a_first_present_last_day_keeps_earlier_defended_days():
+    # sm0000 is absent on its first two days and present on the third.
+    corpus = synthesize(SyntheticConfig(consumer_count=2, day_count=3, rng_seed=0,
+                                        absence_probability=0.3))
+    _assert_cut_keeps_earlier_days(5, True, corpus)
+
+
+def _assert_cut_keeps_earlier_days(minutes, defended, corpus):
+    # Metamorphic: a slot's decision reads only earlier slots, so dropping
+    # the last day of every trace changes no earlier day's bits and no
+    # earlier column of held.
+    traces, truth = corpus
+    run = _schedule_runner(minutes, defended)
+    patterns, held = run(traces, truth)
+    cut = [ConsumptionTrace(t.consumer_id, t.start_date, t.granularity_minutes,
+                            t.readings[:-len(t.days()[-1].readings)]) for t in traces]
+    patterns_c, held_c = run(cut, truth)
+    last = {day.key for t in traces for day in t.days()[-1:]}
+    _assert_same_bits(patterns_c, {k: v for k, v in patterns.items() if k not in last})
+    slots_per_day = held.shape[1] // traces[0].day_count
+    assert held_c.shape == (len(traces), held.shape[1] - slots_per_day)
+    assert np.array_equal(held_c, held[:, :held_c.shape[1]])
 
 
 def test_run_simulation_deterministic():

@@ -130,9 +130,8 @@ def _csv(stamps, header="consumer_id,timestamp_iso8601,kwh"):
 # trace, or the (exception type, message fragment) that ingest_csv raises.
 INGEST_CASES = {
     "first-row-at-30-seconds": (_csv(_stamps("2016-01-01T00:00:30", 30, 144)), []),
-    "first-row-at-5-microseconds": (
-        _csv(_stamps("2016-01-01T00:00:00.000005", 30, 100)), [("a", "2016-01-01", 30, 96)]
-    ),
+    # A sub-second part is off the minute like non-zero seconds: no slot starts at midnight.
+    "first-row-at-5-microseconds": (_csv(_stamps("2016-01-01T00:00:00.000005", 30, 100)), []),
     # Midnight on the first row's +01:00 clock; on the later +02:00 clock the
     # first day would start at slot 46, on 2016-01-02.
     "offset-changes-mid-trace": (
@@ -174,6 +173,22 @@ def test_ingest_table(tmp_path, case):
     got = [(t.consumer_id, t.start_date.isoformat(), t.granularity_minutes, len(t.readings))
            for t in traces]
     assert got == expected
+
+
+def test_ingest_leaves_out_a_consumer_that_starts_half_a_second_past_midnight(tmp_path, capsys):
+    """Rows stamped 00:00:00.500 are not moved to 00:00:00: that consumer is
+    left out as at 00:00:01, and ingest exits 3 when it is the only one."""
+    from amisim.cli import main
+
+    whole = _csv(_stamps("2016-01-01T00:00:00", 30, 96))
+    late = _csv(_stamps("2016-01-01T00:00:00.500", 30, 96)).replace("\na,", "\nb,")
+    path = _write(tmp_path, whole + late.split("\n", 1)[1])
+    assert [t.consumer_id for t in ingest_csv(path)] == ["a"]
+    assert main(["ingest", "--in", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert main(["ingest", "--in", str(_write(tmp_path, late)),
+                 "--out", str(tmp_path / "late.csv")]) == 3
+    assert "no whole day" in capsys.readouterr().err
+    assert not (tmp_path / "late.csv").exists()
 
 
 @pytest.mark.parametrize("minutes", [1, 5, 30])
